@@ -5,15 +5,42 @@
 
 namespace xenic::store {
 
+uint32_t NicIndex::ValueSlab::Alloc() {
+  if (!free_.empty()) {
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  if ((next_ & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(stride_ << kChunkShift));
+  }
+  return next_++;
+}
+
 NicIndex::NicIndex(const RobinhoodTable* host, const Options& options)
     : host_(host),
       options_(options),
       dm_(host->max_displacement()),
-      entries_(host->num_segments()) {}
+      entries_(host->num_segments()),
+      ways_(host->num_segments() * options.ways_per_entry),
+      slab_(host->value_size()) {}
+
+NicIndex::CachedObject& NicIndex::At(size_t segment, size_t pos) {
+  if (pos < options_.ways_per_entry) {
+    return Ways(segment)[pos];
+  }
+  return entries_[segment].overflow_pages[pos - options_.ways_per_entry];
+}
 
 NicIndex::CachedObject* NicIndex::Find(Key key) {
-  IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
-  for (auto& obj : entry.objects) {
+  const size_t segment = host_->SegmentOfKey(key);
+  CachedObject* ways = Ways(segment);
+  for (size_t i = 0; i < options_.ways_per_entry; ++i) {
+    if (ways[i].valid && ways[i].key == key) {
+      return &ways[i];
+    }
+  }
+  for (auto& obj : entries_[segment].overflow_pages) {
     if (obj.valid && obj.key == key) {
       return &obj;
     }
@@ -31,19 +58,16 @@ NicIndex::CachedObject* NicIndex::Ensure(Key key) {
   }
   // Make room first so the freshly created slot cannot evict itself.
   EvictUntilWithinBudget();
-  IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
+  const size_t segment = host_->SegmentOfKey(key);
   CachedObject* slot = nullptr;
-  for (auto& obj : entry.objects) {
-    if (!obj.valid) {
+  for (size_t pos = 0; pos < Positions(segment) && slot == nullptr; ++pos) {
+    if (CachedObject& obj = At(segment, pos); !obj.valid) {
       slot = &obj;
-      break;
     }
   }
   if (slot == nullptr) {
-    // Allocate another position; positions beyond `ways_per_entry` model
-    // the entry's chained overflow pages.
-    entry.objects.emplace_back();
-    slot = &entry.objects.back();
+    // Every way and page is taken: chain another overflow page position.
+    slot = &entries_[segment].overflow_pages.emplace_back();
   }
   *slot = CachedObject{};
   slot->key = key;
@@ -53,12 +77,34 @@ NicIndex::CachedObject* NicIndex::Ensure(Key key) {
   return slot;
 }
 
-void NicIndex::Release(IndexEntry& entry, CachedObject& obj) {
-  (void)entry;
+void NicIndex::Release(CachedObject& obj) {
   assert(obj.valid);
   cached_bytes_ -= CostOf(obj);
   cached_objects_--;
+  if (obj.has_value) {
+    slab_.Free(obj.value_slot);
+  }
   obj = CachedObject{};
+}
+
+void NicIndex::StoreValue(CachedObject& obj, const Value& value) {
+  assert(value.size() <= slab_.stride() && "cached value exceeds the table's value_size");
+  cached_bytes_ -= CostOf(obj);
+  if (!obj.has_value) {
+    obj.value_slot = slab_.Alloc();
+    obj.has_value = true;
+  }
+  std::copy(value.begin(), value.end(), slab_.At(obj.value_slot));
+  obj.value_len = static_cast<uint32_t>(value.size());
+  cached_bytes_ += CostOf(obj);
+}
+
+void NicIndex::DropValue(CachedObject& obj) {
+  cached_bytes_ -= CostOf(obj);
+  slab_.Free(obj.value_slot);
+  obj.has_value = false;
+  obj.value_len = 0;
+  cached_bytes_ += CostOf(obj);
 }
 
 void NicIndex::EvictUntilWithinBudget() {
@@ -68,23 +114,22 @@ void NicIndex::EvictUntilWithinBudget() {
   size_t sweep = 0;
   const size_t max_sweep = 2 * entries_.size() + 16;
   while (cached_bytes_ > options_.memory_budget && sweep < max_sweep) {
-    IndexEntry& entry = entries_[clock_segment_];
-    if (clock_way_ >= entry.objects.size()) {
+    if (clock_way_ >= Positions(clock_segment_)) {
       clock_way_ = 0;
       clock_segment_ = (clock_segment_ + 1) % entries_.size();
       sweep++;
       continue;
     }
-    CachedObject& obj = entry.objects[clock_way_];
+    CachedObject& obj = At(clock_segment_, clock_way_);
     clock_way_++;
     if (!obj.valid || obj.pin_count > 0 || obj.lock_owner != kNoTxn) {
       continue;
     }
-    if (obj.ref != 0) {
-      obj.ref = 0;  // second-chance
+    if (obj.ref) {
+      obj.ref = false;  // second-chance
       continue;
     }
-    Release(entry, obj);
+    Release(obj);
     evictions_++;
   }
 }
@@ -93,10 +138,10 @@ std::optional<NicIndex::RemoteObject> NicIndex::LookupRemote(Key key, LookupStat
   LookupStats local;
   LookupStats* st = stats != nullptr ? stats : &local;
   if (CachedObject* obj = Find(key); obj != nullptr && obj->has_value) {
-    obj->ref = 1;
+    obj->ref = true;
     st->cache_hit = true;
     st->found = true;
-    return RemoteObject{obj->value, obj->seq, obj->lock_owner, true};
+    return RemoteObject{CopyValue(*obj), obj->seq, obj->lock_owner, true};
   }
   return MissPath(key, /*want_value=*/true, st);
 }
@@ -105,7 +150,7 @@ std::optional<NicIndex::RemoteObject> NicIndex::ReadMetadata(Key key, LookupStat
   LookupStats local;
   LookupStats* st = stats != nullptr ? stats : &local;
   if (CachedObject* obj = Find(key); obj != nullptr && (obj->has_value || obj->seq != 0)) {
-    obj->ref = 1;
+    obj->ref = true;
     st->cache_hit = true;
     st->found = true;
     return RemoteObject{Value{}, obj->seq, obj->lock_owner, true};
@@ -150,11 +195,8 @@ std::optional<NicIndex::RemoteObject> NicIndex::MissPath(Key key, bool want_valu
     if (options_.cache_values && want_value) {
       CachedObject* obj = Ensure(key);
       obj->seq = out.seq;
-      obj->has_value = true;
-      cached_bytes_ -= CostOf(*obj);
-      obj->value = out.value;
-      cached_bytes_ += CostOf(*obj);
-      obj->ref = 1;
+      StoreValue(*obj, out.value);
+      obj->ref = true;
       EvictUntilWithinBudget();
     }
     st->found = true;
@@ -232,10 +274,7 @@ void NicIndex::AdmitOnLoad(Key key, const Value& value, Seq seq) {
     return;
   }
   CachedObject* obj = Ensure(key);
-  cached_bytes_ -= CostOf(*obj);
-  obj->value = value;
-  cached_bytes_ += CostOf(*obj);
-  obj->has_value = true;
+  StoreValue(*obj, value);
   obj->seq = seq;
   EvictUntilWithinBudget();
 }
@@ -269,12 +308,9 @@ TxnId NicIndex::LockOwner(Key key) const {
 
 void NicIndex::ApplyCommit(Key key, const Value& value, Seq seq) {
   CachedObject* obj = Ensure(key);
-  cached_bytes_ -= CostOf(*obj);
-  obj->value = value;
-  cached_bytes_ += CostOf(*obj);
-  obj->has_value = true;
+  StoreValue(*obj, value);
   obj->seq = seq;
-  obj->ref = 1;
+  obj->ref = true;
   if (obj->pin_count == 0) {
     pinned_objects_++;
   }
@@ -321,26 +357,23 @@ void NicIndex::Invalidate(Key key) {
       return;
     }
     if (obj->has_value) {
-      cached_bytes_ -= CostOf(*obj);
-      obj->value.clear();
-      obj->has_value = false;
+      DropValue(*obj);
       obj->seq = 0;
-      cached_bytes_ += CostOf(*obj);
     }
     if (obj->lock_owner == kNoTxn && obj->pin_count == 0) {
-      IndexEntry& entry = entries_[host_->SegmentOfKey(key)];
-      Release(entry, *obj);
+      Release(*obj);
     }
   }
 }
 
 std::vector<NicIndex::CachedEntry> NicIndex::CachedEntries() const {
   std::vector<CachedEntry> out;
-  for (const auto& entry : entries_) {
-    for (const auto& obj : entry.objects) {
+  for (size_t seg = 0; seg < entries_.size(); ++seg) {
+    for (size_t pos = 0; pos < Positions(seg); ++pos) {
+      const CachedObject& obj = At(seg, pos);
       if (obj.valid && obj.has_value) {
-        out.push_back(CachedEntry{obj.key, obj.seq, &obj.value, obj.pin_count > 0,
-                                  obj.lock_owner != kNoTxn});
+        out.push_back(CachedEntry{obj.key, obj.seq, {slab_.At(obj.value_slot), obj.value_len},
+                                  obj.pin_count > 0, obj.lock_owner != kNoTxn});
       }
     }
   }
@@ -349,8 +382,9 @@ std::vector<NicIndex::CachedEntry> NicIndex::CachedEntries() const {
 
 std::vector<NicIndex::LockedKey> NicIndex::LockedKeys() const {
   std::vector<LockedKey> out;
-  for (const auto& entry : entries_) {
-    for (const auto& obj : entry.objects) {
+  for (size_t seg = 0; seg < entries_.size(); ++seg) {
+    for (size_t pos = 0; pos < Positions(seg); ++pos) {
+      const CachedObject& obj = At(seg, pos);
       if (obj.valid && obj.lock_owner != kNoTxn) {
         out.push_back(LockedKey{obj.key, obj.lock_owner});
       }

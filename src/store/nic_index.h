@@ -20,7 +20,10 @@
 #define SRC_STORE_NIC_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/status.h"
@@ -110,7 +113,9 @@ class NicIndex {
   struct CachedEntry {
     Key key;
     Seq seq;
-    const Value* value;
+    // View into the index's value slab: valid until the next call that
+    // changes this index (a freed slot is reused by the next admission).
+    std::span<const uint8_t> value;
     bool pinned;
     bool locked;
   };
@@ -134,31 +139,81 @@ class NicIndex {
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t evictions() const { return evictions_; }
   uint64_t pinned_objects() const { return pinned_objects_; }
+  // Value-slab slots ever created (live plus free); bounded by the peak
+  // number of cached values, since freed slots are reused first.
+  size_t value_slab_slots() const { return slab_.slots(); }
 
  private:
-  struct CachedObject {
-    Key key = 0;
-    Seq seq = 0;
-    TxnId lock_owner = kNoTxn;
-    uint16_t pin_count = 0;
-    uint8_t ref = 0;       // CLOCK reference bit
-    bool valid = false;
-    bool has_value = false;
-    Value value;
+  // Cached values, one fixed-stride slot each (stride = the host table's
+  // value_size). Slots live in fixed-size chunks that never move, so growth
+  // copies nothing; freed slots are reused first.
+  class ValueSlab {
+   public:
+    explicit ValueSlab(size_t stride) : stride_(stride) {}
+    uint32_t Alloc();
+    void Free(uint32_t slot) { free_.push_back(slot); }
+    uint8_t* At(uint32_t slot) {
+      return chunks_[slot >> kChunkShift].get() + (slot & kChunkMask) * stride_;
+    }
+    const uint8_t* At(uint32_t slot) const { return const_cast<ValueSlab*>(this)->At(slot); }
+    size_t stride() const { return stride_; }
+    size_t slots() const { return next_; }
+
+   private:
+    static constexpr uint32_t kChunkShift = 10;  // 1024 slots per chunk
+    static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
+    size_t stride_;
+    uint32_t next_ = 0;  // slots handed out from chunks so far
+    std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+    std::vector<uint32_t> free_;
   };
 
+  // One cache position. The value, when present, lives in the slab.
+  struct CachedObject {
+    Key key = 0;
+    TxnId lock_owner = kNoTxn;
+    Seq seq = 0;
+    uint32_t value_slot = 0;  // slab slot; meaningful only with has_value
+    uint32_t value_len = 0;
+    uint16_t pin_count = 0;
+    bool ref : 1 = false;  // CLOCK reference bit
+    bool valid : 1 = false;
+    bool has_value : 1 = false;
+  };
+  static_assert(std::is_trivially_destructible_v<CachedObject>);
+
+  // Per-segment index entry. The segment's fixed ways live in `ways_`;
+  // positions beyond them (logical position ways_per_entry + i) model the
+  // entry's chained overflow pages.
   struct IndexEntry {
     uint16_t d_hint = 0;
     bool has_overflow = false;
-    std::vector<CachedObject> objects;  // first `ways` inline, rest = overflow pages
+    std::vector<CachedObject> overflow_pages;
   };
 
+  CachedObject* Ways(size_t segment) { return ways_.data() + segment * options_.ways_per_entry; }
+  size_t Positions(size_t segment) const {
+    return options_.ways_per_entry + entries_[segment].overflow_pages.size();
+  }
+  // Logical position `pos` of `segment`: the fixed ways, then overflow pages.
+  CachedObject& At(size_t segment, size_t pos);
+  const CachedObject& At(size_t segment, size_t pos) const {
+    return const_cast<NicIndex*>(this)->At(segment, pos);
+  }
   CachedObject* Find(Key key);
   const CachedObject* Find(Key key) const;
   // Find-or-create a cache slot for `key` (evicting if over budget).
   CachedObject* Ensure(Key key);
-  void Release(IndexEntry& entry, CachedObject& obj);
-  uint64_t CostOf(const CachedObject& obj) const { return 48 + obj.value.size(); }
+  void Release(CachedObject& obj);
+  // Copy `value` into the object's slab slot (allocating one if needed),
+  // keeping cached_bytes_ in step.
+  void StoreValue(CachedObject& obj, const Value& value);
+  void DropValue(CachedObject& obj);
+  Value CopyValue(const CachedObject& obj) const {
+    const uint8_t* bytes = slab_.At(obj.value_slot);
+    return Value(bytes, bytes + obj.value_len);
+  }
+  uint64_t CostOf(const CachedObject& obj) const { return 48 + obj.value_len; }
   void EvictUntilWithinBudget();
 
   // Shared miss path; when want_value is false the large-object hop is
@@ -169,6 +224,8 @@ class NicIndex {
   Options options_;
   uint16_t dm_;  // host displacement limit (probe cap)
   std::vector<IndexEntry> entries_;
+  std::vector<CachedObject> ways_;  // num_segments x ways_per_entry
+  ValueSlab slab_;
   uint64_t cached_objects_ = 0;
   uint64_t cached_bytes_ = 0;
   uint64_t pinned_objects_ = 0;

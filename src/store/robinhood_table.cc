@@ -28,19 +28,35 @@ RobinhoodTable::RobinhoodTable(const Options& options)
   assert(options.segment_slots > 0);
 }
 
-RobinhoodTable::Element RobinhoodTable::LoadElement(size_t slot) const {
-  Element e;
-  e.header = Header(slot);
-  e.value_area.assign(SlotPtr(slot) + sizeof(SlotHeader), SlotPtr(slot) + slot_size_);
-  return e;
+void RobinhoodTable::MoveSlot(size_t dst, size_t src, uint16_t disp) {
+  std::memmove(SlotPtr(dst), SlotPtr(src), slot_size_);
+  SlotHeader h = Header(dst);
+  h.disp = disp;
+  WriteHeader(dst, h);
+  NoteDisp(h.key, disp);
+  if (swap_step_hook_) {
+    swap_step_hook_();
+  }
 }
 
-void RobinhoodTable::StoreElement(size_t slot, const Element& e, uint16_t disp) {
-  SlotHeader h = e.header;
+void RobinhoodTable::WriteSlot(size_t slot, Key key, Seq seq, const Value& value,
+                               LargeObjectHeap::Handle handle, uint16_t disp) {
+  SlotHeader h{};
+  h.key = key;
+  h.seq = seq;
   h.disp = disp;
+  h.flags = kSlotOccupied;
+  uint8_t* area = SlotPtr(slot) + sizeof(SlotHeader);
+  if (large_values_) {
+    h.flags |= kSlotLargeValue;
+    std::memcpy(area, &handle, sizeof(handle));
+  } else {
+    const size_t n = std::min(value.size(), inline_area_);
+    std::copy_n(value.data(), n, area);
+    std::fill_n(area + n, inline_area_ - n, 0);
+  }
   WriteHeader(slot, h);
-  std::memcpy(SlotPtr(slot) + sizeof(SlotHeader), e.value_area.data(), inline_area_);
-  NoteDisp(h.key, disp);
+  NoteDisp(key, disp);
   if (swap_step_hook_) {
     swap_step_hook_();
   }
@@ -49,17 +65,6 @@ void RobinhoodTable::StoreElement(size_t slot, const Element& e, uint16_t disp) 
 void RobinhoodTable::ClearSlot(size_t slot) {
   SlotHeader h{};
   WriteHeader(slot, h);
-}
-
-uint16_t RobinhoodTable::EncodeValueArea(const Value& value, std::vector<uint8_t>& area) {
-  area.assign(inline_area_, 0);
-  if (large_values_) {
-    LargeObjectHeap::Handle handle = heap_.Alloc(value);
-    std::memcpy(area.data(), &handle, sizeof(handle));
-    return kSlotOccupied | kSlotLargeValue;
-  }
-  std::memcpy(area.data(), value.data(), std::min(value.size(), inline_area_));
-  return kSlotOccupied;
 }
 
 void RobinhoodTable::FreeSlotPayload(size_t slot) {
@@ -111,6 +116,11 @@ std::optional<size_t> RobinhoodTable::FindOverflow(Key key, size_t& segment_out)
     }
   }
   return std::nullopt;
+}
+
+bool RobinhoodTable::Contains(Key key) const {
+  size_t seg = 0;
+  return FindSlot(key).has_value() || FindOverflow(key, seg).has_value();
 }
 
 std::optional<LookupResult> RobinhoodTable::Lookup(Key key) const {
@@ -170,7 +180,8 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
   // Phase 1: read-only probe collecting the swap chain. `carried_home`
   // tracks the home of the element currently being carried so the overflow
   // terminal files it under the right segment.
-  std::vector<size_t> chain;
+  std::vector<size_t>& chain = chain_;
+  chain.clear();
   size_t pos = home;
   size_t carried_home = home;
   uint16_t carried_disp = 0;
@@ -198,63 +209,55 @@ Status RobinhoodTable::InsertInternal(Key key, const Value& value, Seq seq) {
   total_probe_slots_ += probes;
   total_swaps_ += chain.size();
 
-  // Build the new element (allocates in the heap for large-value tables).
-  Element fresh;
-  fresh.header.key = key;
-  fresh.header.seq = seq;
-  fresh.header.disp = 0;
-  fresh.header.flags = EncodeValueArea(value, fresh.value_area);
+  // The fresh element goes straight to overflow when nothing was displaced.
+  if (to_overflow && chain.empty()) {
+    overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, value});
+    size_overflow_++;
+    if (swap_step_hook_) {
+      swap_step_hook_();
+    }
+    return Status::Ok();
+  }
+
+  // Otherwise it enters the table; large values get their heap object
+  // before any displaced one is freed.
+  const LargeObjectHeap::Handle handle =
+      large_values_ ? heap_.Alloc(value) : LargeObjectHeap::kNullHandle;
 
   // Phase 2: apply from the terminal backwards (the copy list). Each move
   // writes the destination before the source slot is overwritten by the
   // previous element in the chain, so a concurrent DMA region read always
   // finds every committed key (paper: DMA-consistent swapping).
+  size_t dest = pos;
   if (to_overflow) {
-    // The carried element (last displaced resident, or the fresh element
-    // when no swap happened) is appended to its home segment's overflow.
-    if (chain.empty()) {
-      overflow_[SegmentOfSlot(home)].push_back(OverflowEntry{key, seq, value});
-      size_overflow_++;
-      if (swap_step_hook_) {
-        swap_step_hook_();
-      }
-      return Status::Ok();
-    }
+    // The last displaced resident is appended to its home segment's
+    // overflow, and its slot becomes the copy list's terminal.
     const size_t last = chain.back();
-    Element displaced = LoadElement(last);
     SlotView view(SlotPtr(last), inline_area_);
     Value displaced_value = DecodeValue(view);
     if (view.large_value()) {
       heap_.Free(view.large_handle());
     }
     overflow_[SegmentOfSlot(carried_home)].push_back(
-        OverflowEntry{displaced.header.key, displaced.header.seq, std::move(displaced_value)});
+        OverflowEntry{view.key(), view.seq(), std::move(displaced_value)});
     size_overflow_++;
     if (swap_step_hook_) {
       swap_step_hook_();
     }
-    // Shift the remaining chain: element at chain[i-1] moves into chain[i].
-    for (size_t i = chain.size() - 1; i > 0; --i) {
-      Element moving = LoadElement(chain[i - 1]);
-      const size_t moving_home = (chain[i - 1] - moving.header.disp) & mask_;
-      StoreElement(chain[i], moving, static_cast<uint16_t>((chain[i] - moving_home) & mask_));
-    }
-    StoreElement(chain.front(), fresh, static_cast<uint16_t>((chain.front() - home) & mask_));
-    // Note: size_table_ unchanged (one element entered the table, one left
-    // to overflow).
-    return Status::Ok();
+    chain.pop_back();
+    dest = last;
   }
-
-  // Empty terminal at `pos`.
-  size_t dest = pos;
+  // Element at chain[i-1] moves into the slot freed after it.
   for (size_t i = chain.size(); i > 0; --i) {
-    Element moving = LoadElement(chain[i - 1]);
-    const size_t moving_home = (chain[i - 1] - moving.header.disp) & mask_;
-    StoreElement(dest, moving, static_cast<uint16_t>((dest - moving_home) & mask_));
-    dest = chain[i - 1];
+    const size_t src = chain[i - 1];
+    const size_t moving_home = (src - Header(src).disp) & mask_;
+    MoveSlot(dest, src, static_cast<uint16_t>((dest - moving_home) & mask_));
+    dest = src;
   }
-  StoreElement(dest, fresh, static_cast<uint16_t>((dest - home) & mask_));
-  size_table_++;
+  WriteSlot(dest, key, seq, value, handle, static_cast<uint16_t>((dest - home) & mask_));
+  if (!to_overflow) {
+    size_table_++;  // one element left to overflow otherwise
+  }
   return Status::Ok();
 }
 
@@ -355,11 +358,9 @@ Status RobinhoodTable::Erase(Key key) {
         continue;
       }
       // Re-insert the overflow entry at the hole.
-      Element pulled;
-      pulled.header.key = bucket[i].key;
-      pulled.header.seq = bucket[i].seq;
-      pulled.header.flags = EncodeValueArea(bucket[i].value, pulled.value_area);
-      StoreElement(s, pulled, d);
+      const OverflowEntry& e = bucket[i];
+      WriteSlot(s, e.key, e.seq, e.value,
+                large_values_ ? heap_.Alloc(e.value) : LargeObjectHeap::kNullHandle, d);
       bucket.erase(bucket.begin() + static_cast<ptrdiff_t>(i));
       size_overflow_--;
       size_table_++;
@@ -376,8 +377,7 @@ Status RobinhoodTable::Erase(Key key) {
     if ((th.flags & kSlotOccupied) == 0 || th.disp == 0) {
       break;
     }
-    Element moving = LoadElement(t);
-    StoreElement(hole, moving, static_cast<uint16_t>(th.disp - 1));
+    MoveSlot(hole, t, static_cast<uint16_t>(th.disp - 1));
     ClearSlot(t);
     hole = t;
     t = Advance(t);

@@ -113,7 +113,7 @@ class RobinhoodTable {
   Status Erase(Key key);
 
   std::optional<LookupResult> Lookup(Key key) const;
-  bool Contains(Key key) const { return Lookup(key).has_value(); }
+  bool Contains(Key key) const;
   std::optional<Seq> GetSeq(Key key) const;
 
   // Every stored key, table slots in slot order then overflow buckets in
@@ -198,18 +198,14 @@ class RobinhoodTable {
   bool Occupied(size_t slot) const { return (Header(slot).flags & kSlotOccupied) != 0; }
   size_t Advance(size_t slot) const { return (slot + 1) & mask_; }
 
-  // Write a full element into a slot (header + inline value area).
-  struct Element {
-    SlotHeader header;
-    std::vector<uint8_t> value_area;  // slot_size - sizeof(SlotHeader) bytes
-  };
-  Element LoadElement(size_t slot) const;
-  void StoreElement(size_t slot, const Element& e, uint16_t disp);
+  // One copy-list step: move the element in `src` (header and inline value
+  // area, in place) into `dst` with displacement `disp`.
+  void MoveSlot(size_t dst, size_t src, uint16_t disp);
+  // Write a new element into `slot`: the value bytes zero-padded to the
+  // inline area, or `handle` when the table uses large values.
+  void WriteSlot(size_t slot, Key key, Seq seq, const Value& value,
+                 LargeObjectHeap::Handle handle, uint16_t disp);
   void ClearSlot(size_t slot);
-
-  // Encode a logical value into a slot's inline area, allocating in the
-  // heap when the table uses large values. Returns flags to set.
-  uint16_t EncodeValueArea(const Value& value, std::vector<uint8_t>& area);
   void FreeSlotPayload(size_t slot);
 
   // Find the table slot holding `key`, if any.
@@ -239,6 +235,7 @@ class RobinhoodTable {
   size_t size_overflow_ = 0;
   uint64_t total_swaps_ = 0;
   uint64_t total_probe_slots_ = 0;
+  std::vector<size_t> chain_;  // Insert's swap chain; reused across calls
   std::function<void()> swap_step_hook_;
 };
 

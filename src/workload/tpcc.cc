@@ -139,11 +139,10 @@ void Tpcc::Load(const LoadFn& load) {
     for (uint64_t item = 1; item <= options_.items; ++item) {
       load(kStock, SKey(w, item), StockRow(static_cast<int64_t>(10 + rng.NextBounded(91))));
     }
-    const NodeId primary = NodeOfWarehouse(w);
-    // Replica chain for the local (B+tree) tables mirrors the Robinhood
-    // replication: primary + the next replication-1 nodes. We conservatively
-    // populate every node's replica structures for warehouses it may back
-    // up; the hook keeps them in sync afterwards.
+    // The local (B+tree) tables are populated on every node, not only on
+    // the warehouse's replica chain, so whichever node serves or takes over
+    // the warehouse sees the same state; the hook keeps them in sync
+    // afterwards.
     for (uint64_t d = 1; d <= options_.districts_per_warehouse; ++d) {
       const uint64_t dkey = DKey(w, d);
       load(kDistrict, dkey, DistrictRow(init_orders + 1));

@@ -103,7 +103,8 @@ TEST_P(CacheCoherenceTest, CacheAgreesWithHostAfterQuiesce) {
       auto host = c.datastore(n).table(kBank).Lookup(e.key);
       ASSERT_TRUE(host.has_value()) << "cached key absent from host: " << e.key;
       EXPECT_EQ(host->seq, e.seq) << "node " << n << " key " << e.key;
-      EXPECT_EQ(host->value, *e.value) << "node " << n << " key " << e.key;
+      EXPECT_EQ(host->value, Value(e.value.begin(), e.value.end()))
+          << "node " << n << " key " << e.key;
       audited++;
     }
     EXPECT_EQ(c.datastore(n).pending_writes(), 0u);

@@ -158,6 +158,65 @@ TEST(NicIndexTest, LargeValueSecondHop) {
   EXPECT_GE(s.bytes_read, 400u);
 }
 
+TEST(NicIndexTest, LargeValueTableServesHitsFromSlab) {
+  Fixture f(/*dm=*/8, /*value_size=*/400);
+  auto big = [](Key k) { return Value(400, static_cast<uint8_t>(k * 7)); };
+  for (Key k = 1; k <= 50; ++k) {
+    ASSERT_TRUE(f.host->Insert(k, big(k)).ok());
+  }
+  f.index->SyncHintsFromHost();
+  for (Key k = 1; k <= 50; ++k) {
+    NicIndex::LookupStats miss;
+    ASSERT_EQ(f.index->LookupRemote(k, &miss)->value, big(k));
+    EXPECT_FALSE(miss.cache_hit);
+    NicIndex::LookupStats hit;
+    auto r = f.index->LookupRemote(k, &hit);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(r->value, big(k)) << k;
+  }
+  f.index->ApplyCommit(9, Value(400, 0xEE), 2);
+  NicIndex::LookupStats hit;
+  EXPECT_EQ(f.index->LookupRemote(9, &hit)->value, Value(400, 0xEE));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(f.index->cached_bytes(), 50u * (48 + 400));
+  for (const auto& e : f.index->CachedEntries()) {
+    EXPECT_EQ(Value(e.value.begin(), e.value.end()), e.key == 9 ? Value(400, 0xEE) : big(e.key));
+  }
+}
+
+TEST(NicIndexTest, ShortValueHitKeepsItsLength) {
+  Fixture f;  // value_size 16
+  f.index->AdmitOnLoad(4, V(5, 6), 1);
+  EXPECT_EQ(f.index->cached_bytes(), 48u + 6);
+  NicIndex::LookupStats s;
+  auto r = f.index->LookupRemote(4, &s);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(s.cache_hit);
+  EXPECT_EQ(r->value, V(5, 6));
+  // A later write of another length replaces the cached length too.
+  f.index->ApplyCommit(4, V(6, 11), 2);
+  EXPECT_EQ(f.index->LookupRemote(4, &s)->value, V(6, 11));
+  EXPECT_EQ(f.index->cached_bytes(), 48u + 11);
+}
+
+TEST(NicIndexTest, ValueSlabDoesNotGrowAcrossAdmitInvalidateCycles) {
+  Fixture f;
+  f.index->AdmitOnLoad(1, V(1), 1);
+  for (int i = 0; i < 10000; ++i) {
+    const Key k = 100 + static_cast<Key>(i % 37);
+    f.index->AdmitOnLoad(k, V(static_cast<uint8_t>(i)), 1);
+    f.index->Invalidate(k);
+  }
+  // Key 1's slot plus the one slot every cycle reuses.
+  EXPECT_EQ(f.index->value_slab_slots(), 2u);
+  EXPECT_EQ(f.index->cached_objects(), 1u);
+  EXPECT_EQ(f.index->cached_bytes(), 48u + 16);
+  NicIndex::LookupStats s;
+  EXPECT_EQ(f.index->LookupRemote(1, &s)->value, V(1));
+  EXPECT_TRUE(s.cache_hit);
+}
+
 TEST(NicIndexTest, LockAcquireConflictRelease) {
   Fixture f;
   const TxnId t1 = MakeTxnId(0, 1);

@@ -12,8 +12,11 @@
 namespace xenic::store {
 namespace {
 
+// Every field is 8 bytes wide so the struct has no padding: gtest prints a
+// param's raw bytes into the test name, and padding bytes hold whatever the
+// stack held, which would make the names differ from run to run.
 struct ChurnParam {
-  uint16_t dm;
+  uint64_t dm;
   size_t value_size;
   double occupancy;
 };
@@ -25,7 +28,7 @@ TEST_P(RobinhoodChurnTest, MatchesOracleUnderChurn) {
   RobinhoodTable::Options o;
   o.capacity_log2 = 10;
   o.value_size = p.value_size;
-  o.max_displacement = p.dm;
+  o.max_displacement = static_cast<uint16_t>(p.dm);
   RobinhoodTable t(o);
   std::unordered_map<Key, std::pair<Value, Seq>> oracle;
   Rng rng(1234 + p.dm);
@@ -90,7 +93,7 @@ TEST_P(RobinhoodChurnTest, InvariantSurvivesChurn) {
   RobinhoodTable::Options o;
   o.capacity_log2 = 9;
   o.value_size = p.value_size;
-  o.max_displacement = p.dm;
+  o.max_displacement = static_cast<uint16_t>(p.dm);
   RobinhoodTable t(o);
   Rng rng(99 + p.dm);
   std::vector<Key> live;

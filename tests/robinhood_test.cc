@@ -156,6 +156,55 @@ TEST(RobinhoodTest, UpdateAndEraseInOverflow) {
   EXPECT_EQ(t.overflow_size(), 0u);
 }
 
+TEST(RobinhoodTest, InsertOfOverflowKeyIsAlreadyExists) {
+  RobinhoodTable t(SmallOpts(10, 8, 4));
+  Rng rng(6);
+  std::vector<Key> keys;
+  for (size_t i = 0; i < static_cast<size_t>(0.9 * t.capacity()); ++i) {
+    const Key k = rng.Next();
+    ASSERT_TRUE(t.Insert(k, V(1, 8)).ok());
+    keys.push_back(k);
+  }
+  size_t in_overflow = 0;
+  for (Key k : keys) {
+    // A displaced element is filed under its own home segment.
+    for (const auto& e : t.ReadOverflow(t.SegmentOfKey(k))) {
+      if (e.key == k) {
+        in_overflow++;
+        EXPECT_EQ(t.Insert(k, V(2, 8)).code(), StatusCode::kAlreadyExists) << k;
+      }
+    }
+  }
+  EXPECT_GT(in_overflow, 0u);
+  EXPECT_EQ(t.size(), keys.size());
+}
+
+// Probe and swap totals of a fixed insert sequence. They pin the layout
+// Robinhood insertion builds: a faster copy list must not move them.
+TEST(RobinhoodTest, InsertProbeAndSwapTotalsPinned) {
+  struct Case {
+    size_t value_size;
+    uint16_t dm;
+    uint64_t probe_slots;
+    uint64_t swaps;
+  };
+  for (const Case& c : {Case{8, 4, 2179, 509}, Case{300, 8, 3256, 1136}}) {
+    RobinhoodTable t(SmallOpts(10, c.value_size, c.dm));
+    Rng rng(11);
+    for (size_t i = 0; i < static_cast<size_t>(0.9 * t.capacity()); ++i) {
+      ASSERT_TRUE(t.Insert(rng.Next(), V(static_cast<uint8_t>(i), c.value_size)).ok());
+    }
+    ASSERT_GT(t.overflow_size(), 0u);
+    EXPECT_EQ(t.total_probe_slots(), c.probe_slots) << "value_size " << c.value_size;
+    EXPECT_EQ(t.total_swaps(), c.swaps) << "value_size " << c.value_size;
+    // One heap object per large value in the table; overflow entries hold
+    // their values themselves.
+    EXPECT_EQ(t.heap().live_objects(), c.value_size > kInlineValueLimit
+                                           ? t.size() - t.overflow_size()
+                                           : 0u);
+  }
+}
+
 TEST(RobinhoodTest, SegmentHintsUpperBoundActualDisp) {
   RobinhoodTable t(SmallOpts(12, 8, 16));
   Rng rng(6);

@@ -14,24 +14,28 @@ metric:
                  speedup, events_per_sec): candidate may not drop more
                  than the tolerance below baseline.
   lower-better   latency/degradation-like values (abort_rate, *_us, *_ns,
-                 degraded*, dip_*): candidate may not rise more than the
-                 tolerance above baseline.
+                 degraded*, dip_*, *_wall_ms): candidate may not rise more
+                 than the tolerance above baseline.
   ignored        config/identity fields (seed, contexts, nodes, window_us,
-                 fault_at_us, ...), wall-clock diagnostics, and anything
-                 unclassified. Unclassified keys never gate -- the gate
+                 fault_at_us, ...) and anything unclassified. Unclassified keys never gate -- the gate
                  must not fail because a bench grew a new diagnostic.
 
-Wall-clock-derived rates (events_per_sec, *_wall_ms, engine_speedup) gate
-with a much looser tolerance (default 60%): they measure the host, not the
-simulation, and jitter run to run. Simulation-derived metrics are
+Wall-clock-derived values gate with a much looser tolerance (default 60%):
+they measure the host, not the simulation, and jitter run to run. Rates
+(events_per_sec, engine_speedup) are loose higher-better; times (*_wall_ms,
+*_wall_seconds) are loose lower-better. Simulation-derived metrics are
 deterministic, so the default 5% tolerance only absorbs intentional
 re-baselines, not noise.
 
 --self-test FILE... proves the gate has teeth without a fresh bench run:
   1. FILE vs FILE must pass and must gate at least one metric (guards
-     against classifier rot silently ignoring everything), and
-  2. FILE vs a synthetic candidate with every higher-better metric
-     degraded 10% must FAIL (10% > the 5% tolerance).
+     against classifier rot silently ignoring everything),
+  2. FILE vs a synthetic candidate with every higher-better metric made
+     worse (strict x0.9, loose x0.3) must FAIL,
+  3. when FILE has lower-better metrics, FILE vs a candidate with every
+     one of them made worse (strict x1.1, loose x3) must FAIL, and
+  4. FILE vs a candidate with every metric made better by the same
+     factors must PASS (a speedup is never a regression).
 Exit status: 0 = pass, 1 = regression (or self-test failure), 2 = usage.
 """
 
@@ -41,7 +45,10 @@ import sys
 
 DEFAULT_TOLERANCE_PCT = 5.0
 WALL_TOLERANCE_PCT = 60.0
-SELF_TEST_REGRESSION = 0.9  # synthetic candidate: higher-better x0.9
+# Self-test scale factors per class, for a candidate that is worse on
+# every metric; the better candidate uses their inverses. Each exceeds its
+# class's tolerance.
+SELF_TEST_WORSE = {"higher": 0.9, "loose_higher": 0.3, "lower": 1.1, "loose_lower": 3.0}
 
 # Order matters: first match wins. Config/identity and wall-clock
 # diagnostics are matched before the broad *_us / committed patterns.
@@ -50,7 +57,8 @@ IGNORE_PAT = re.compile(
     r"|theta|read_ratio|ops_per_txn|barrier_epochs|window_us|detect_us"
     r"|fault_at_us|at_us|capacity|keys|epoch)($|_)"
 )
-WALL_PAT = re.compile(r"(events_per_sec|wall_ms|wall_seconds|speedup)$")
+LOOSE_HIGHER_PAT = re.compile(r"(events_per_sec|speedup)$")
+LOOSE_LOWER_PAT = re.compile(r"(wall_ms|wall_seconds)$")
 LOWER_PAT = re.compile(
     r"(abort_rate|degraded|dip_|latency|_us$|_ns$|_ms$"
     r"|^p50|^p99|^p999|_p50|_p99|_p999)"
@@ -58,13 +66,19 @@ LOWER_PAT = re.compile(
 HIGHER_PAT = re.compile(r"(tput|goodput|committed|redo_reduction|events)")
 
 
+LOOSE = ("loose_higher", "loose_lower")
+HIGHER_BETTER = ("higher", "loose_higher")
+
+
 def classify(key):
-    """-> 'ignore' | 'wall' (higher-better, loose) | 'lower' | 'higher'."""
+    """-> 'ignore' | 'loose_higher' | 'loose_lower' | 'lower' | 'higher'."""
     k = key.lower()
     if IGNORE_PAT.search(k):
         return "ignore"
-    if WALL_PAT.search(k):
-        return "wall"
+    if LOOSE_HIGHER_PAT.search(k):
+        return "loose_higher"
+    if LOOSE_LOWER_PAT.search(k):
+        return "loose_lower"
     if LOWER_PAT.search(k):
         return "lower"
     if HIGHER_PAT.search(k):
@@ -112,37 +126,52 @@ def compare(base, cand, tolerance_pct, verbose=False):
         kind = classify(key)
         if kind == "ignore":
             continue
-        tol = WALL_TOLERANCE_PCT if kind == "wall" else tolerance_pct
+        tol = WALL_TOLERANCE_PCT if kind in LOOSE else tolerance_pct
+        higher_better = kind in HIGHER_BETTER
         gated += 1
         if b == 0:
             # Zero baseline: a lower-better metric appearing from nothing is
             # a regression; higher-better going 0 -> anything is fine.
-            bad = kind == "lower" and c > 0
+            bad = not higher_better and c > 0
             delta_pct = float("inf") if bad else 0.0
         else:
             delta_pct = (c - b) / abs(b) * 100.0
-            bad = (-delta_pct > tol) if kind in ("higher", "wall") else (delta_pct > tol)
+            bad = (-delta_pct > tol) if higher_better else (delta_pct > tol)
         if verbose:
             print(f"  gate[{kind}] {path}: base={b:g} cand={c:g} "
                   f"delta={delta_pct:+.2f}% tol={tol:g}%")
         if bad:
-            direction = "dropped" if kind in ("higher", "wall") else "rose"
+            direction = "dropped" if higher_better else "rose"
             regressions.append(
                 f"REGRESSION {path}: {key} {direction} {abs(delta_pct):.1f}% "
                 f"(base={b:g} cand={c:g} tol={tol:g}%)")
     return regressions, gated
 
 
-def degrade(node):
-    """Deep-copy with every higher-better numeric leaf scaled x0.9."""
+def scale(node, factors):
+    """Deep-copy with each numeric leaf whose class is in `factors` scaled."""
     if isinstance(node, dict):
-        return {k: (v * SELF_TEST_REGRESSION
-                    if isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and classify(k) == "higher" else degrade(v))
-                for k, v in node.items()}
+        out = {}
+        for k, v in node.items():
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[k] = v * factors.get(classify(k), 1)
+            else:
+                out[k] = scale(v, factors)
+        return out
     if isinstance(node, list):
-        return [degrade(v) for v in node]
+        return [scale(v, factors) for v in node]
     return node
+
+
+def count_kinds(node, kinds):
+    """Number of numeric leaves whose key classifies into `kinds`."""
+    if isinstance(node, dict):
+        return sum(1 if isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and classify(k) in kinds else count_kinds(v, kinds)
+                   for k, v in node.items())
+    if isinstance(node, list):
+        return sum(count_kinds(v, kinds) for v in node)
+    return 0
 
 
 def load(path):
@@ -169,13 +198,31 @@ def self_test(paths):
             print(f"self-test FAIL {path}: no gated metrics (classifier rot?)")
             ok = False
             continue
-        regs, _ = compare(base, degrade(base), DEFAULT_TOLERANCE_PCT)
-        if not regs:
-            print(f"self-test FAIL {path}: 10% synthetic regression not caught")
+        file_ok = True
+        findings = 0
+        for side in (HIGHER_BETTER, ("lower", "loose_lower")):
+            if count_kinds(base, side) == 0:
+                continue
+            worse = {k: f for k, f in SELF_TEST_WORSE.items() if k in side}
+            regs, _ = compare(base, scale(base, worse), DEFAULT_TOLERANCE_PCT)
+            if not regs:
+                print(f"self-test FAIL {path}: synthetic {'/'.join(side)} "
+                      f"regression not caught")
+                file_ok = False
+            findings += len(regs)
+        better = {k: 1 / f for k, f in SELF_TEST_WORSE.items()}
+        regs, _ = compare(base, scale(base, better), DEFAULT_TOLERANCE_PCT)
+        if regs:
+            print(f"self-test FAIL {path}: synthetic improvement reported as regression:")
+            for r in regs:
+                print(f"  {r}")
+            file_ok = False
+        if not file_ok:
             ok = False
             continue
         print(f"self-test OK {path}: {gated} gated metrics, "
-              f"synthetic 10% regression caught ({len(regs)} findings)")
+              f"synthetic regressions caught ({findings} findings), "
+              f"synthetic improvement passes")
     return 0 if ok else 1
 
 
