@@ -22,16 +22,18 @@
 // Output: a table plus BENCH_avail.json (per-scenario dip depth/width and
 // degraded_service_seconds) for EXPERIMENTS.md and regression tracking.
 //
-// Flags: [--seed N] [--detect-us N] [--window-us N] [--replicas N]
+// Flags: [--seed N] [--detect-us N] [--window-us N] [--replicas N] [--jobs N]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/chaos/chaos_run.h"
+#include "src/common/flags.h"
 #include "src/common/table_printer.h"
+#include "src/harness/cli.h"
+#include "src/harness/sweep.h"
 
 namespace {
 
@@ -41,7 +43,7 @@ using chaos::ChaosConfig;
 using chaos::ChaosVerdict;
 
 struct Scenario {
-  const char* name;
+  const char* name = nullptr;
   ChaosVerdict verdict;
   AvailabilityReport avail;
 };
@@ -69,20 +71,14 @@ int main(int argc, char** argv) {
   uint64_t detect_us = 100;
   uint64_t window_us = 20;
   uint32_t replicas = 3;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : "0"; };
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--detect-us") == 0) {
-      detect_us = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--window-us") == 0) {
-      window_us = std::strtoull(next(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--replicas") == 0) {
-      replicas = static_cast<uint32_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      (void)next();  // accepted for driver-script uniformity; runs are serial
-    }
-  }
+  uint32_t jobs = 1;
+  Flags flags("Crash failover vs planned lease handoff at the same seed and fault instant.");
+  harness::AddSeedFlag(flags, &seed, "chaos seed of both runs");
+  flags.Uint("--detect-us", &detect_us, "crash detection (lease expiry) delay in microseconds");
+  flags.Positive("--window-us", &window_us, "timeline bin width in microseconds");
+  harness::AddReplicationFlags(flags, &replicas, nullptr);
+  harness::AddJobsFlag(flags, &jobs);
+  flags.Parse(argc, argv);
 
   ChaosConfig base;
   base.seed = seed;
@@ -103,9 +99,11 @@ int main(int argc, char** argv) {
   ChaosConfig handoff = base;
   handoff.faults.planned_handoffs = 1;
 
-  std::vector<Scenario> scenarios;
-  scenarios.push_back(RunScenario("crash", crash));
-  scenarios.push_back(RunScenario("planned_handoff", handoff));
+  harness::SweepExecutor ex(jobs);
+  const std::vector<Scenario> scenarios = ex.Map<Scenario>({
+      [&crash] { return RunScenario("crash", crash); },
+      [&handoff] { return RunScenario("planned_handoff", handoff); },
+  });
 
   TablePrinter tp({"scenario", "fault_at_us", "committed", "dip_depth_pct", "dip_width_us",
                    "degraded_service_s", "verdict"});

@@ -66,8 +66,8 @@ const char* TopTailBucket(const obs::TailAttribution& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
   const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  SweepExecutor ex(opts.jobs);
 
   const uint32_t nodes = 6;
   auto make_wl = [&](double theta) {
@@ -200,12 +200,7 @@ int main(int argc, char** argv) {
   json += "]}";
   std::printf("%s", tp.Render("CC compare: YCSB, policy x zipf theta @ peak").c_str());
 
-  const std::string path = "BENCH_cc.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  WriteTextFile("BENCH_cc.json", json);
 
   // Standard observability passes (per-policy at theta 0.99, where the
   // policies differ most): abort breakdown, bottleneck attribution,

@@ -7,14 +7,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/table_printer.h"
+#include "src/harness/cli.h"
 #include "src/harness/runner.h"
 #include "src/txn/cc_policy.h"
 #include "src/harness/sweep.h"
@@ -233,18 +234,16 @@ inline void PrintCurves(const std::string& title, const std::vector<Curve>& curv
   }
 }
 
-// Observability flags shared by the benches:
+// Flags shared by the benches (and sweep_check). The bench-only reports:
 //   --attrib        rerun each system's peak-throughput point with resource
 //                   monitoring, print the bottleneck-attribution table, and
 //                   write <slug>.attrib.json
 //   --trace PATH    rerun the first system's peak point with a trace sink
 //                   and write Chrome trace-event JSON to PATH
 // Reruns reuse the sweep's exact RunConfig, so (by the determinism
-// contract) they reproduce the printed point exactly.
-//
-// Contention-control flags (ISSUE 6): retry policy selection and the
-// hot-key / adaptive-DMA feature toggles. All default to the historical
-// behavior; benches opt in by calling ApplyContentionOptions.
+// contract) they reproduce the printed point exactly. The contention and
+// observability groups are declared in src/harness/cli.h; benches opt in
+// to the contention flags by calling ApplyContentionOptions.
 struct BenchOptions {
   bool attrib = false;
   bool msg_breakdown = false;  // per-MsgType traffic table after the sweep
@@ -257,173 +256,47 @@ struct BenchOptions {
   bool latency_hist = false;
   // --abort-breakdown: abort-reason table at each system's peak point.
   bool abort_breakdown = false;
-  // --metrics: rerun each system's peak point with a MetricRegistry,
-  // print the windowed series ("metrics [system] " lines) and write
-  // <slug>.metrics.json + <slug>.metrics.om (OpenMetrics, first system).
-  bool metrics = false;
-  uint64_t metrics_window_us = 50;  // --metrics-window-us W
-  // --slo SPEC ("p99<50us,goodput>0.95"): evaluate objectives over each
-  // system's peak-point metric windows; implies the metrics rerun.
-  std::string slo;
-  std::string trace_path;
+  // --metrics / --slo: rerun each system's peak point with a
+  // MetricRegistry, print the windowed series ("metrics [system] " lines)
+  // and SLO burn, and write <slug>.metrics.json + <slug>.metrics.om
+  // (OpenMetrics, first system). --trace as above.
+  harness::ObservabilityOptions obs;
+  harness::ContentionOptions contention;
+  uint64_t seed = 0;  // --seed N; 0 = keep the bench's default
+  uint32_t jobs = 1;  // --jobs N; sweep workers
 
-  // --retry-policy uniform|expjitter|cwnd (validated; unknown -> exit 2).
-  txn::RetryPolicyKind retry_policy = txn::RetryPolicyKind::kUniform;
-  uint64_t backoff_base_us = 0;  // --backoff-base US; 0 = keep default (4)
-  uint64_t retry_cap_us = 0;     // --retry-cap US; 0 = keep default (256)
-  bool hot_key_path = false;     // --hot-key-path (Xenic systems only)
-  bool adaptive_dma = false;     // --adaptive-dma (Xenic systems only)
-  uint64_t seed = 0;             // --seed N; 0 = keep the bench's default
-  // --cc occ|nowait|waitdie|woundwait (Xenic systems only; default occ).
-  txn::CcPolicyKind cc = txn::CcPolicyKind::kOcc;
-  // --engine-jobs N: engine worker threads per run. Cluster runs are a
-  // single LP (shared harness Rng), so any value is byte-identical by
-  // construction -- tools/check_engine_jobs.sh enforces exactly that.
-  uint64_t engine_jobs = 1;
-
-  static void PrintHelp(const char* prog) {
-    std::printf(
-        "usage: %s [flags]\n"
-        "  --jobs N            parallel sweep workers (0 = hardware threads)\n"
-        "  --attrib            bottleneck attribution at each system's peak\n"
-        "  --msg-breakdown     per-message-type traffic table at peaks\n"
-        "  --txn-attrib        p50-vs-tail critical-path waterfall at peaks\n"
-        "  --latency-hist      latency histogram buckets for every point\n"
-        "  --abort-breakdown   abort-reason table at each system's peak\n"
-        "  --metrics           windowed metric series at each system's peak\n"
-        "                      (writes <slug>.metrics.json / .om)\n"
-        "  --metrics-window-us W  sampling window in microseconds (default 50)\n"
-        "  --slo SPEC          objectives over the metric windows, e.g.\n"
-        "                      \"p99<50us,goodput>0.95\" (implies --metrics rerun)\n"
-        "  --trace PATH        Chrome trace of the first system's peak point\n"
-        "  --seed N            override the run seed (default: bench-specific)\n"
-        "  --engine-jobs N     engine worker threads (results byte-identical)\n"
-        "  --retry-policy P    abort backoff policy: uniform | expjitter | cwnd\n"
-        "                      (default uniform: the historical fixed backoff)\n"
-        "  --backoff-base US   backoff base in microseconds (default 4)\n"
-        "  --retry-cap US      backoff window cap in microseconds (default 256)\n"
-        "  --hot-key-path      serialize sketch-flagged hot keys on the NIC\n"
-        "  --adaptive-dma      occupancy-aware DMA vector sizing\n"
-        "  --cc P              concurrency control (Xenic systems only):\n"
-        "                      occ | nowait | waitdie | woundwait (default occ)\n",
-        prog);
+  void Register(Flags& flags) {
+    harness::AddJobsFlag(flags, &jobs);
+    flags.Switch("--attrib", &attrib, "bottleneck attribution at each system's peak");
+    flags.Switch("--msg-breakdown", &msg_breakdown, "per-message-type traffic table at peaks");
+    flags.Switch("--txn-attrib", &txn_attrib, "p50-vs-tail critical-path waterfall at peaks");
+    flags.Switch("--latency-hist", &latency_hist, "latency histogram buckets for every point");
+    flags.Switch("--abort-breakdown", &abort_breakdown, "abort-reason table at each system's peak");
+    obs.Register(flags);
+    harness::AddSeedFlag(flags, &seed, "run seed (0 = the bench's default)");
+    contention.Register(flags);
   }
 
-  // Parse a mandatory positive integer value for `flag`, exiting 2 on junk.
-  static uint64_t ParseCount(const char* flag, const char* value) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || v == 0) {
-      std::fprintf(stderr, "%s requires a positive integer, got '%s'\n", flag, value);
-      std::exit(2);
-    }
-    return v;
-  }
-
+  // For benches with no flags of their own.
   static BenchOptions Parse(int argc, char** argv) {
     BenchOptions o;
-    auto policy = [&o](const char* name) {
-      if (!txn::ParseRetryPolicy(name, &o.retry_policy)) {
-        std::fprintf(stderr, "unknown --retry-policy '%s' (uniform|expjitter|cwnd)\n", name);
-        std::exit(2);
-      }
-    };
-    auto cc = [&o](const char* name) {
-      if (!txn::ParseCcPolicy(name, &o.cc)) {
-        std::fprintf(stderr, "unknown --cc '%s' (occ|nowait|waitdie|woundwait)\n", name);
-        std::exit(2);
-      }
-    };
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--attrib") == 0) {
-        o.attrib = true;
-      } else if (std::strcmp(argv[i], "--msg-breakdown") == 0) {
-        o.msg_breakdown = true;
-      } else if (std::strcmp(argv[i], "--txn-attrib") == 0) {
-        o.txn_attrib = true;
-      } else if (std::strcmp(argv[i], "--latency-hist") == 0) {
-        o.latency_hist = true;
-      } else if (std::strcmp(argv[i], "--abort-breakdown") == 0) {
-        o.abort_breakdown = true;
-      } else if (std::strcmp(argv[i], "--metrics") == 0) {
-        o.metrics = true;
-      } else if (std::strcmp(argv[i], "--metrics-window-us") == 0 && i + 1 < argc) {
-        o.metrics_window_us = ParseCount("--metrics-window-us", argv[++i]);
-      } else if (std::strncmp(argv[i], "--metrics-window-us=", 20) == 0) {
-        o.metrics_window_us = ParseCount("--metrics-window-us", argv[i] + 20);
-      } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
-        o.slo = argv[++i];
-      } else if (std::strncmp(argv[i], "--slo=", 6) == 0) {
-        o.slo = argv[i] + 6;
-      } else if (std::strcmp(argv[i], "--hot-key-path") == 0) {
-        o.hot_key_path = true;
-      } else if (std::strcmp(argv[i], "--adaptive-dma") == 0) {
-        o.adaptive_dma = true;
-      } else if (std::strcmp(argv[i], "--retry-policy") == 0 && i + 1 < argc) {
-        policy(argv[++i]);
-      } else if (std::strncmp(argv[i], "--retry-policy=", 15) == 0) {
-        policy(argv[i] + 15);
-      } else if (std::strcmp(argv[i], "--cc") == 0 && i + 1 < argc) {
-        cc(argv[++i]);
-      } else if (std::strncmp(argv[i], "--cc=", 5) == 0) {
-        cc(argv[i] + 5);
-      } else if (std::strcmp(argv[i], "--backoff-base") == 0 && i + 1 < argc) {
-        o.backoff_base_us = ParseCount("--backoff-base", argv[++i]);
-      } else if (std::strncmp(argv[i], "--backoff-base=", 15) == 0) {
-        o.backoff_base_us = ParseCount("--backoff-base", argv[i] + 15);
-      } else if (std::strcmp(argv[i], "--retry-cap") == 0 && i + 1 < argc) {
-        o.retry_cap_us = ParseCount("--retry-cap", argv[++i]);
-      } else if (std::strncmp(argv[i], "--retry-cap=", 12) == 0) {
-        o.retry_cap_us = ParseCount("--retry-cap", argv[i] + 12);
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        o.seed = ParseCount("--seed", argv[++i]);
-      } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        o.seed = ParseCount("--seed", argv[i] + 7);
-      } else if (std::strcmp(argv[i], "--engine-jobs") == 0 && i + 1 < argc) {
-        o.engine_jobs = ParseCount("--engine-jobs", argv[++i]);
-      } else if (std::strncmp(argv[i], "--engine-jobs=", 14) == 0) {
-        o.engine_jobs = ParseCount("--engine-jobs", argv[i] + 14);
-      } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-        o.trace_path = argv[++i];
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        o.trace_path = argv[i] + 8;
-      } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-        PrintHelp(argv[0]);
-        std::exit(0);
-      }
-    }
+    Flags flags;
+    o.Register(flags);
+    flags.Parse(argc, argv);
     return o;
   }
 };
 
-// Apply the contention-control flags to a run: the retry policy shapes the
-// harness's abort backoff, the feature toggles flip the Xenic systems'
-// hot-key fast path and adaptive DMA batching. Defaults leave everything
-// byte-identical to the historical behavior.
+// Apply the contention-control flags (and --seed) to a run: the retry
+// policy shapes the harness's abort backoff, the feature toggles flip the
+// Xenic systems' hot-key fast path, adaptive DMA batching and CC policy.
+// Defaults leave everything byte-identical to the historical behavior.
 inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
                                    SystemConfig* cfg = nullptr) {
-  if (rc != nullptr) {
-    rc->retry.kind = o.retry_policy;
-    if (o.backoff_base_us > 0) {
-      rc->retry.backoff_base = o.backoff_base_us * sim::kNsPerUs;
-    }
-    if (o.retry_cap_us > 0) {
-      rc->retry.backoff_cap = o.retry_cap_us * sim::kNsPerUs;
-    }
-    if (o.seed > 0) {
-      rc->seed = o.seed;
-    }
-    rc->engine_jobs = static_cast<uint32_t>(o.engine_jobs);
+  if (rc != nullptr && o.seed > 0) {
+    rc->seed = o.seed;
   }
-  if (cfg != nullptr && cfg->kind == SystemConfig::Kind::kXenic) {
-    if (o.hot_key_path) {
-      cfg->features.hot_key_fastpath = true;
-    }
-    if (o.adaptive_dma) {
-      cfg->nic_features.adaptive_dma_batching = true;
-    }
-    cfg->features.cc = o.cc;  // default kOcc: the historical pipeline
-  }
+  harness::ApplyContentionOptions(o.contention, rc != nullptr ? &rc->retry : nullptr, cfg);
 }
 
 inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
@@ -431,6 +304,16 @@ inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
   ApplyContentionOptions(o, rc);
   for (auto& c : *cfgs) {
     ApplyContentionOptions(o, nullptr, &c);
+  }
+}
+
+// Write a report or sidecar file and note it on stderr (stdout carries
+// only simulation-derived output).
+inline void WriteTextFile(const std::string& path, const std::string& text) {
+  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
   }
 }
 
@@ -574,12 +457,7 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
               "}";
     }
     json += "]}";
-    const std::string path = slug + ".attrib.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
+    WriteTextFile(slug + ".attrib.json", json);
   }
   if (opts.latency_hist) {
     for (const auto& c : curves) {
@@ -595,19 +473,12 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
     }
     std::printf("\n");
   }
-  if (opts.metrics || !opts.slo.empty()) {
+  if (opts.obs.metrics || !opts.obs.slo.empty()) {
     // Windowed-metrics pass: rerun each system's peak point with a
     // MetricRegistry attached (observer-only, so it reproduces the printed
     // point exactly) and export the series. SLO objectives, when given,
     // are evaluated per system over the same windows.
-    obs::SloSpec slo;
-    if (!opts.slo.empty()) {
-      std::string err;
-      if (!obs::ParseSloSpec(opts.slo, &slo, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-      }
-    }
+    const obs::SloSpec& slo = opts.obs.slo;
     std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
     std::string om;  // OpenMetrics exposition (first system's registry)
     bool first = true;
@@ -620,10 +491,10 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
       obs::MetricRegistry reg;
       RunConfig r = rc;
       r.metrics = &reg;
-      r.metrics_window = opts.metrics_window_us * sim::kNsPerUs;
+      r.metrics_window = opts.obs.metrics_window_us * sim::kNsPerUs;
       RerunPoint(cfgs[i], make_workload, r, contexts,
                  /*collect_resources=*/false, /*trace=*/nullptr);
-      if (opts.metrics) {
+      if (opts.obs.metrics) {
         std::printf("%s", reg.Lines("metrics [" + curves[i].system + "] ").c_str());
       }
       std::string slo_json;
@@ -646,18 +517,8 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
       }
     }
     json += "]}";
-    const std::string path = slug + ".metrics.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
-    const std::string om_path = slug + ".metrics.om";
-    if (std::FILE* f = std::fopen(om_path.c_str(), "w"); f != nullptr) {
-      std::fwrite(om.data(), 1, om.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", om_path.c_str());
-    }
+    WriteTextFile(slug + ".metrics.json", json);
+    WriteTextFile(slug + ".metrics.om", om);
   }
   if (opts.txn_attrib) {
     std::string json = "{\"bench\":\"" + slug + "\",\"systems\":[";
@@ -688,25 +549,20 @@ inline void FinishBench(const BenchOptions& opts, const std::string& slug,
               std::to_string(contexts) + ",\"txn_attrib\":" + obs::TxnAttribJson(attrib) + "}";
     }
     json += "]}";
-    const std::string path = slug + ".txnattrib.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    }
+    WriteTextFile(slug + ".txnattrib.json", json);
   }
-  if (!opts.trace_path.empty() && !curves.empty()) {
+  if (!opts.obs.trace_path.empty() && !curves.empty()) {
     const int peak = curves[0].PeakIndex();
     if (peak >= 0) {
       const uint32_t contexts = curves[0].points[static_cast<size_t>(peak)].contexts;
       obs::TraceRecorder rec;
       RerunPoint(cfgs[0], make_workload, rc, contexts, /*collect_resources=*/false, &rec);
-      if (rec.WriteJson(opts.trace_path)) {
+      if (rec.WriteJson(opts.obs.trace_path)) {
         std::fprintf(stderr, "wrote %s (%zu events, %zu tracks; %s @ contexts=%u)\n",
-                     opts.trace_path.c_str(), rec.num_events(), rec.num_tracks(),
+                     opts.obs.trace_path.c_str(), rec.num_events(), rec.num_tracks(),
                      curves[0].system.c_str(), contexts);
       } else {
-        std::fprintf(stderr, "failed to write %s\n", opts.trace_path.c_str());
+        std::fprintf(stderr, "failed to write %s\n", opts.obs.trace_path.c_str());
       }
     }
   }

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
   const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  SweepExecutor ex(opts.jobs);
 
   RunConfig rc;
   rc.contexts_per_node = 64;

@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
   const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  SweepExecutor ex(opts.jobs);
   const uint32_t nodes = 6;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
     workload::Tpcc::Options wo;

@@ -50,8 +50,8 @@ double BucketUs(const obs::TailAttribution& a, obs::CostBucket b, bool tail) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
   const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  SweepExecutor ex(opts.jobs);
 
   // Small account pool -> a real hot set that fits the per-shard sketch;
   // loads straddle the saturation knee so PeakIndex finds a true peak.
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   base_rc.warmup = 150 * sim::kNsPerUs;
   base_rc.measure = 1200 * sim::kNsPerUs;
   ApplyContentionOptions(opts, &base_rc);  // --seed/--backoff-base/--retry-cap
-  if (opts.retry_cap_us == 0) {
+  if (opts.contention.retry_cap_us == 0) {
     // Tuned default for this comparison: the cap bounds the widest window
     // the adaptive policies may draw from, and every tick of backoff is
     // charged to the retry's redo bucket -- so the useful cap is on the
@@ -192,12 +192,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", tp.Render("Redo+DMA tail relief: skewed Smallbank @ peak").c_str());
 
-  const std::string path = "BENCH_redo.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  }
+  WriteTextFile("BENCH_redo.json", json);
 
   // The satellite observability flags work here too (applied per variant
   // would be ambiguous, so they run against the uniform baseline config).

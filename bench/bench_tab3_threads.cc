@@ -65,7 +65,11 @@ struct BenchDef {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
+  uint32_t jobs = 1;
+  Flags flags;
+  harness::AddJobsFlag(flags, &jobs);
+  flags.Parse(argc, argv);
+  SweepExecutor ex(jobs);
   const uint32_t nodes = 6;
   net::PerfModel base_model;
 

@@ -42,10 +42,6 @@ class SweepExecutor {
     return out;
   }
 
-  // Parse `--jobs N` / `--jobs=N` from argv (falling back to the XENIC_JOBS
-  // environment variable, then `def`). Used by the bench binaries.
-  static uint32_t ParseJobsFlag(int argc, char** argv, uint32_t def = 1);
-
  private:
   uint32_t jobs_;
 };

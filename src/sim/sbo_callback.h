@@ -36,9 +36,13 @@ class SmallFunction<R(Args...)> {
   SmallFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t)) {
+      if constexpr (std::is_trivially_copyable_v<Fn>) {
+        ZeroFrom<std::is_empty_v<Fn> ? 0 : sizeof(Fn)>();
+      }
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &InlineOps<Fn>::ops;
     } else {
+      ZeroFrom<sizeof(Fn*)>();
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
       ops_ = &HeapOps<Fn>::ops;
     }
@@ -92,6 +96,14 @@ class SmallFunction<R(Args...)> {
     // nullptr means trivially destructible: destruction is a no-op.
     void (*destroy)(void* storage) noexcept;
   };
+
+  // Relocate memcpys all kInlineSize bytes when ops_->relocate is null, so
+  // the bytes a target leaves unwritten get a value at construction. The
+  // length is a compile-time constant per target type.
+  template <size_t kUsed>
+  void ZeroFrom() noexcept {
+    std::memset(storage_ + kUsed, 0, kInlineSize - kUsed);
+  }
 
   // Steal other's target. Precondition: other.ops_ != nullptr and *this is
   // empty (default-constructed or just Reset).

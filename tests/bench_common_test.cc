@@ -69,26 +69,24 @@ TEST(BenchOptionsTest, ParseFlags) {
     const char* argv[] = {"bench"};
     const BenchOptions o = BenchOptions::Parse(1, const_cast<char**>(argv));
     EXPECT_FALSE(o.attrib);
-    EXPECT_TRUE(o.trace_path.empty());
+    EXPECT_TRUE(o.obs.trace_path.empty());
   }
   {
     const char* argv[] = {"bench", "--attrib", "--trace", "out.json"};
     const BenchOptions o = BenchOptions::Parse(4, const_cast<char**>(argv));
     EXPECT_TRUE(o.attrib);
-    EXPECT_EQ(o.trace_path, "out.json");
+    EXPECT_EQ(o.obs.trace_path, "out.json");
   }
   {
     const char* argv[] = {"bench", "--trace=x.trace.json"};
     const BenchOptions o = BenchOptions::Parse(2, const_cast<char**>(argv));
     EXPECT_FALSE(o.attrib);
-    EXPECT_EQ(o.trace_path, "x.trace.json");
+    EXPECT_EQ(o.obs.trace_path, "x.trace.json");
   }
-  {
-    // --trace with no value is ignored rather than reading past argv.
-    const char* argv[] = {"bench", "--trace"};
-    const BenchOptions o = BenchOptions::Parse(2, const_cast<char**>(argv));
-    EXPECT_TRUE(o.trace_path.empty());
-  }
+  // --trace with no value is a usage error, not a silently ignored flag.
+  const char* no_value[] = {"bench", "--trace"};
+  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(no_value)),
+              ::testing::ExitedWithCode(2), "missing value for --trace");
 }
 
 }  // namespace

@@ -331,10 +331,13 @@ class RefIndex {
   size_t clock_way_ = 0;
 };
 
+// Every field is full width so the struct has no padding bytes: gtest
+// prints a param's raw bytes into the test name, and uninitialized padding
+// would make the name differ from build to build.
 struct Param {
-  uint16_t dm;
+  uint64_t dm;
   uint64_t budget;
-  bool cache_values;
+  uint64_t cache_values;  // used as a bool
 };
 
 class NicIndexChurnTest : public ::testing::TestWithParam<Param> {};

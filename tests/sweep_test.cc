@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "src/common/flags.h"
+#include "src/harness/cli.h"
 #include "src/harness/runner.h"
 #include "src/harness/system_adapter.h"
 #include "src/workload/smallbank.h"
@@ -58,13 +62,24 @@ TEST(SweepExecutorTest, TaskExceptionPropagatesAfterJoin) {
   EXPECT_THROW(ex.RunAll(tasks), std::runtime_error);
 }
 
+// --jobs is declared once (harness::AddJobsFlag) for every bench and tool:
+// both grammars set it, and XENIC_JOBS supplies the default.
 TEST(SweepExecutorTest, ParseJobsFlag) {
-  const char* argv1[] = {"bench", "--jobs", "6"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(3, const_cast<char**>(argv1)), 6u);
-  const char* argv2[] = {"bench", "--jobs=3"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(2, const_cast<char**>(argv2)), 3u);
-  const char* argv3[] = {"bench"};
-  EXPECT_EQ(SweepExecutor::ParseJobsFlag(1, const_cast<char**>(argv3), 1), 1u);
+  auto parse = [](std::vector<const char*> argv) {
+    uint32_t jobs = 99;
+    Flags flags;
+    AddJobsFlag(flags, &jobs);
+    flags.Parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+    return jobs;
+  };
+  unsetenv("XENIC_JOBS");
+  EXPECT_EQ(parse({"bench", "--jobs", "6"}), 6u);
+  EXPECT_EQ(parse({"bench", "--jobs=3"}), 3u);
+  EXPECT_EQ(parse({"bench"}), 1u);
+  setenv("XENIC_JOBS", "5", 1);
+  EXPECT_EQ(parse({"bench"}), 5u);
+  EXPECT_EQ(parse({"bench", "--jobs", "2"}), 2u);
+  unsetenv("XENIC_JOBS");
 }
 
 // The load-bearing guarantee: full simulation runs submitted as independent

@@ -53,8 +53,8 @@ SELF_TEST_WORSE = {"higher": 0.9, "loose_higher": 0.3, "lower": 1.1, "loose_lowe
 # Order matters: first match wins. Config/identity and wall-clock
 # diagnostics are matched before the broad *_us / committed patterns.
 IGNORE_PAT = re.compile(
-    r"(^|_)(seed|contexts|nodes|lps|engine_jobs|hw_concurrency|replicas"
-    r"|theta|read_ratio|ops_per_txn|barrier_epochs|window_us|detect_us"
+    r"(^|_)(seed|contexts|nodes|hw_concurrency|replicas"
+    r"|theta|read_ratio|ops_per_txn|window_us|detect_us"
     r"|fault_at_us|at_us|capacity|keys|epoch)($|_)"
 )
 LOOSE_HIGHER_PAT = re.compile(r"(events_per_sec|speedup)$")

@@ -8,90 +8,36 @@
 // run and for every --jobs value, which tools/check_determinism.sh relies
 // on. Exit status is 0 iff every seed's verdict is PASS.
 //
-// Usage:
-//   chaos_runner [--seed N | --seeds A-B] [--system xenic|drtmh|drtmh-nc|fasst|drtmr]
-//                [--jobs N] [--engine-jobs N] [--nodes N] [--epoch N] [--horizon-us N]
-//                [--replicas N] [--quorum N] [--handoffs N]
-//                [--nic-log-apply] [--replica-reads]
-//                [--crashes N] [--storms N] [--stalls N]
-//                [--drop P] [--dup P] [--delay P] [--log-capacity N]
-//                [--drop-type NAME] [--drop-node N]
-//                [--timeline] [--timeline-window-us N]
-//                [--metrics] [--slo SPEC]
-//                [--retry-policy uniform|expjitter|cwnd] [--backoff-base US]
-//                [--retry-cap US] [--hot-key-path] [--adaptive-dma]
-//                [--cc occ|nowait|waitdie|woundwait] [--workload bank|ycsb]
-//
-// --cc selects the concurrency-control policy of Xenic systems (default
-// occ, the historical pipeline; the 2PL policies change event schedules, so
-// their transcripts are separate from the per-seed goldens). --workload
-// ycsb swaps the bank-transfer mix for a skewed YCSB keyspace; it has no
-// money invariant, so the summary omits the money line.
-//
-// --retry-policy arms contention-scaled backoff between a submitter's
-// transactions (off by default -- arming draws extra Rng values, so the
-// historical per-seed transcripts require it off). --hot-key-path /
-// --adaptive-dma flip the corresponding Xenic features under chaos.
-//
-// --drop-type arms the transport-layer typed drop: every message matching
-// NAME (a net::MsgType name such as "validate", or "<x>_reply" for the ACKs
-// acknowledging <x>, e.g. "validate_reply") sent by --drop-node (default 0)
-// is dropped and redelivered by link-layer retransmit. Xenic systems only.
-//
-// --replicas / --quorum size the replication group (quorum counts the
-// primary; 0 or >= replicas keeps the historical wait-for-all commit).
-// --handoffs schedules N planned lease handoffs: the primary role of a live
-// node moves to its first live backup without a crash or log sweep (Xenic
-// systems only; baselines count them as skipped). --nic-log-apply moves
-// backup log apply onto the NIC ARM cores (continuous apply); adding
-// --replica-reads lets a backup's node serve single-shard read-only
-// transactions locally behind a freshness fence (requires --nic-log-apply).
-//
-// --timeline appends a windowed throughput/abort/latency time series (with
-// planned-fault markers) after each seed's summary, followed by "timeline
-// avail" lines quantifying each fault's availability dip (depth, width,
-// degraded_service_seconds). Every extra line starts with "timeline ", and
-// the summaries themselves are byte-identical with the flag on or off
-// (check_determinism.sh enforces it).
+// `chaos_runner --help` lists the flags (built from the table in main).
+// Notes the help lines leave out:
+// - --cc policies other than occ and --workload ycsb change event
+//   schedules, so their transcripts are separate from the per-seed goldens;
+//   YCSB has no money invariant, so its summary omits the money line.
+// - --retry-policy arms backoff between a submitter's transactions. It is
+//   off by default because arming draws extra Rng values.
+// - --drop-type takes a net::MsgType name ("validate") or "<x>_reply" for
+//   the ACKs of <x>; matching messages are redelivered by link-layer
+//   retransmit. Xenic systems only.
+// - --handoffs moves a live primary's role to its first live backup
+//   without a crash or log sweep (Xenic only; baselines count them skipped).
+// - --timeline lines all start with "timeline ", and the summaries are
+//   byte-identical with the flag on or off (check_determinism.sh).
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/chaos/chaos_run.h"
+#include "src/common/flags.h"
+#include "src/harness/cli.h"
 #include "src/harness/sweep.h"
-#include "src/txn/cc_policy.h"
 
 namespace {
 
 using xenic::chaos::ChaosConfig;
 using xenic::chaos::ChaosVerdict;
 using xenic::chaos::RunChaos;
-using xenic::harness::SystemConfig;
-
-uint64_t ParseU64(const char* s) { return std::strtoull(s, nullptr, 10); }
-
-bool SetSystem(ChaosConfig& config, const std::string& name) {
-  if (name == "xenic") {
-    config.system.kind = SystemConfig::Kind::kXenic;
-    return true;
-  }
-  config.system.kind = SystemConfig::Kind::kBaseline;
-  if (name == "drtmh") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmH;
-  } else if (name == "drtmh-nc") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmHNC;
-  } else if (name == "fasst") {
-    config.system.mode = xenic::baseline::BaselineMode::kFasst;
-  } else if (name == "drtmr") {
-    config.system.mode = xenic::baseline::BaselineMode::kDrtmR;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -104,147 +50,102 @@ int main(int argc, char** argv) {
   base.faults.dup_prob = 0.01;
   base.faults.delay_prob = 0.02;
 
-  uint64_t seed_lo = 1;
-  uint64_t seed_hi = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      seed_lo = seed_hi = ParseU64(next());
-    } else if (a == "--seeds") {
-      const char* v = next();
-      const char* dash = std::strchr(v, '-');
-      if (dash == nullptr) {
-        std::fprintf(stderr, "--seeds wants A-B\n");
-        return 2;
-      }
-      seed_lo = ParseU64(v);
-      seed_hi = ParseU64(dash + 1);
-    } else if (a == "--system") {
-      if (!SetSystem(base, next())) {
-        std::fprintf(stderr, "unknown system\n");
-        return 2;
-      }
-    } else if (a == "--nodes") {
-      base.system.num_nodes = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--replicas") {
-      base.system.replication = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--quorum") {
-      base.system.quorum = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--handoffs") {
-      base.faults.planned_handoffs = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--detect-us") {
-      // Crash detection (lease expiry) delay. The default 8us is almost
-      // instant; realistic lease timeouts are tens of microseconds, which
-      // is exactly the availability gap planned handoff closes.
-      base.faults.detection_delay =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--nic-log-apply") {
-      base.system.features.nic_log_apply = true;
-    } else if (a == "--replica-reads") {
-      base.system.features.nic_log_apply = true;  // reads need the applier
-      base.system.features.replica_reads = true;
-    } else if (a == "--epoch") {
-      base.epoch = ParseU64(next());
-    } else if (a == "--horizon-us") {
-      base.horizon = static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--crashes") {
-      base.faults.crashes = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--storms") {
-      base.faults.eviction_storms = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--stalls") {
-      base.faults.stall_windows = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--drop") {
-      base.faults.drop_prob = std::atof(next());
-    } else if (a == "--dup") {
-      base.faults.dup_prob = std::atof(next());
-    } else if (a == "--delay") {
-      base.faults.delay_prob = std::atof(next());
-    } else if (a == "--log-capacity") {
-      base.system.log_capacity = static_cast<size_t>(ParseU64(next()));
-    } else if (a == "--drop-type") {
-      const char* name = next();
-      if (!xenic::net::ParseMsgSelector(name, &base.faults.typed_drop)) {
-        std::fprintf(stderr, "unknown message type %s\n", name);
-        return 2;
-      }
-      if (base.faults.typed_drop_node < 0) {
-        base.faults.typed_drop_node = 0;
-      }
-    } else if (a == "--drop-node") {
-      base.faults.typed_drop_node = static_cast<int>(ParseU64(next()));
-    } else if (a == "--retry-policy") {
-      const char* name = next();
-      if (!xenic::txn::ParseRetryPolicy(name, &base.retry.kind)) {
-        std::fprintf(stderr, "unknown --retry-policy %s (uniform|expjitter|cwnd)\n", name);
-        return 2;
-      }
-      base.retry_aborts = true;
-    } else if (a == "--backoff-base") {
-      base.retry.backoff_base =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--retry-cap") {
-      base.retry.backoff_cap =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--hot-key-path") {
-      base.system.features.hot_key_fastpath = true;
-    } else if (a == "--adaptive-dma") {
-      base.system.nic_features.adaptive_dma_batching = true;
-    } else if (a == "--cc") {
-      const char* name = next();
-      if (!xenic::txn::ParseCcPolicy(name, &base.system.features.cc)) {
-        std::fprintf(stderr, "unknown --cc %s (occ|nowait|waitdie|woundwait)\n", name);
-        return 2;
-      }
-    } else if (a == "--workload") {
-      const std::string name = next();
-      if (name == "bank") {
-        base.workload = xenic::chaos::ChaosWorkload::kBank;
-      } else if (name == "ycsb") {
-        base.workload = xenic::chaos::ChaosWorkload::kYcsb;
-      } else {
-        std::fprintf(stderr, "unknown --workload %s (bank|ycsb)\n", name.c_str());
-        return 2;
-      }
-    } else if (a == "--timeline") {
-      base.timeline = true;
-    } else if (a == "--metrics") {
-      base.metrics = true;
-    } else if (a == "--slo") {
-      std::string err;
-      if (!xenic::obs::ParseSloSpec(next(), &base.slo, &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
-      }
-    } else if (a == "--timeline-window-us") {
-      base.timeline_window =
-          static_cast<xenic::sim::Tick>(ParseU64(next())) * xenic::sim::kNsPerUs;
-    } else if (a == "--engine-jobs") {
-      // Engine worker threads inside each run. A chaos run is one LP, so
-      // any value is byte-identical -- check_engine_jobs.sh enforces it.
-      base.engine_jobs = static_cast<uint32_t>(ParseU64(next()));
-    } else if (a == "--jobs" || a.rfind("--jobs=", 0) == 0) {
-      if (a == "--jobs") {
-        (void)next();  // consumed below by ParseJobsFlag
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-      return 2;
-    }
+  uint64_t seed = 1;
+  uint64_t seed_lo = 0;
+  uint64_t seed_hi = 0;
+  bool seed_range = false;
+  uint32_t jobs = 1;
+  // Microsecond flags, converted to Ticks after parsing.
+  uint64_t horizon_us = base.horizon / xenic::sim::kNsPerUs;
+  uint64_t detect_us = base.faults.detection_delay / xenic::sim::kNsPerUs;
+  uint64_t timeline_window_us = base.timeline_window / xenic::sim::kNsPerUs;
+  xenic::harness::ObservabilityOptions obs;
+  xenic::harness::ContentionOptions contention;
+
+  xenic::Flags flags(
+      "Run one deterministic chaos schedule per seed and audit the surviving history.\n"
+      "Exit status is 0 iff every seed's verdict is PASS.");
+  xenic::harness::AddSeedFlag(flags, &seed, "chaos seed (default 1)");
+  flags.Custom("--seeds", "A-B", "run every seed in the inclusive range A..B",
+               [&](const std::string& v) {
+                 const size_t dash = v.find('-');
+                 seed_range = dash != std::string::npos &&
+                              xenic::Flags::ParseUint(v.substr(0, dash), &seed_lo) &&
+                              xenic::Flags::ParseUint(v.substr(dash + 1), &seed_hi);
+                 return seed_range;
+               });
+  xenic::harness::AddSystemFlag(flags, &base.system);
+  xenic::harness::AddJobsFlag(flags, &jobs);
+  flags.Positive("--nodes", &base.system.num_nodes, "servers in the cluster (default 6)");
+  flags.Uint("--epoch", &base.epoch, "fault-plan epoch");
+  flags.Uint("--horizon-us", &horizon_us, "submission window in microseconds (default 600)");
+  xenic::harness::AddReplicationFlags(flags, &base.system.replication, &base.system.quorum);
+  flags.Uint("--handoffs", &base.faults.planned_handoffs,
+             "planned lease handoffs (Xenic systems only)");
+  // Crash detection (lease expiry) delay. The default 8us is almost
+  // instant; realistic lease timeouts are tens of microseconds, which is
+  // exactly the availability gap planned handoff closes.
+  flags.Uint("--detect-us", &detect_us,
+             "crash detection (lease expiry) delay in microseconds (default 8)");
+  flags.Switch("--nic-log-apply", &base.system.features.nic_log_apply,
+               "apply backup logs on the NIC ARM cores");
+  flags.Switch("--replica-reads", &base.system.features.replica_reads,
+               "serve single-shard read-only transactions at backups (implies --nic-log-apply)");
+  flags.Uint("--crashes", &base.faults.crashes, "node crashes (default 1)");
+  flags.Uint("--storms", &base.faults.eviction_storms, "NIC-index eviction storms (default 2)");
+  flags.Uint("--stalls", &base.faults.stall_windows,
+             "commit-log back-pressure windows (default 1)");
+  flags.Real("--drop", &base.faults.drop_prob, "per-frame drop probability (default 0.01)");
+  flags.Real("--dup", &base.faults.dup_prob, "per-frame duplicate probability (default 0.01)");
+  flags.Real("--delay", &base.faults.delay_prob, "per-frame delay probability (default 0.02)");
+  flags.Positive("--log-capacity", &base.system.log_capacity,
+                 "commit-log ring records per node");
+  flags.Custom("--drop-type", "NAME",
+               "drop every message of this type sent by --drop-node (e.g. validate, "
+               "validate_reply)",
+               [&base](const std::string& v) {
+                 if (!xenic::net::ParseMsgSelector(v.c_str(), &base.faults.typed_drop)) {
+                   return false;
+                 }
+                 if (base.faults.typed_drop_node < 0) {
+                   base.faults.typed_drop_node = 0;
+                 }
+                 return true;
+               });
+  flags.Uint("--drop-node", &base.faults.typed_drop_node,
+             "sender of the --drop-type drops (default 0)");
+  contention.Register(flags);
+  flags.Choice("--workload", &base.workload,
+               {{"bank", xenic::chaos::ChaosWorkload::kBank},
+                {"ycsb", xenic::chaos::ChaosWorkload::kYcsb}},
+               "workload (default bank)");
+  flags.Switch("--timeline", &base.timeline,
+               "windowed throughput/abort/latency series and availability dips");
+  flags.Uint("--timeline-window-us", &timeline_window_us,
+             "timeline bin width in microseconds (default 50)");
+  obs.Register(flags, /*window_and_trace=*/false);
+  flags.Parse(argc, argv);
+
+  if (!seed_range) {
+    seed_lo = seed_hi = seed;
   }
+  if (base.system.features.replica_reads) {
+    base.system.features.nic_log_apply = true;  // replica reads need the applier
+  }
+  base.horizon = horizon_us * xenic::sim::kNsPerUs;
+  base.faults.detection_delay = detect_us * xenic::sim::kNsPerUs;
+  base.timeline_window = timeline_window_us * xenic::sim::kNsPerUs;
+  // --retry-policy arms retry backoff between a submitter's transactions.
+  base.retry_aborts = contention.retry_policy.has_value();
+  xenic::harness::ApplyContentionOptions(contention, &base.retry, &base.system);
+  base.metrics = obs.metrics;
+  base.slo = obs.slo;
   if (seed_hi < seed_lo) {
     std::fprintf(stderr, "empty seed range\n");
     return 2;
   }
 
-  xenic::harness::SweepExecutor ex(
-      xenic::harness::SweepExecutor::ParseJobsFlag(argc, argv));
+  xenic::harness::SweepExecutor ex(jobs);
 
   std::vector<std::function<ChaosVerdict()>> tasks;
   for (uint64_t s = seed_lo; s <= seed_hi; ++s) {

@@ -240,9 +240,9 @@ echo "determinism OK: CC matrix (4 policies, ycsb, plain/attrib) is byte-identic
 # calls at window boundaries, which executes the identical event schedule.
 # Contract: (a) stripping the "metrics " lines from a --metrics point-check
 # reproduces the plain run byte-for-byte (including sim_events), (b) the
-# metrics lines are actually there (a silently dead flag can't pass),
-# (c) metrics sampling composes with --engine-jobs, and (d) the same holds
-# for chaos runs with --metrics and --slo ("slo " lines strip too).
+# metrics lines are actually there (a silently dead flag can't pass), and
+# (c) the same holds for chaos runs with --metrics and --slo ("slo " lines
+# strip too).
 "$BIN" --point-check >"$serial" 2>/dev/null
 "$BIN" --point-check --metrics >"$parallel" 2>/dev/null
 if ! grep -q "^metrics " "$parallel"; then
@@ -259,12 +259,6 @@ if ! grep -q "^metrics net_conservation_violations" "$parallel"; then
 fi
 if grep "^metrics net_conservation_violations" "$parallel" | grep -q "[1-9]"; then
   echo "FAIL: per-type message conservation violated under --metrics" >&2
-  exit 1
-fi
-"$BIN" --point-check --metrics --engine-jobs 2 >"$serial" 2>/dev/null
-"$BIN" --point-check --metrics --engine-jobs 8 >"$parallel" 2>/dev/null
-if ! diff -u "$serial" "$parallel"; then
-  echo "FAIL: --metrics point-check differs between --engine-jobs 2 and 8" >&2
   exit 1
 fi
 if [[ -n "$CHAOS_BIN" ]]; then
@@ -288,28 +282,22 @@ if [[ -n "$CHAOS_BIN" ]]; then
 fi
 echo "determinism OK: --metrics/--slo are observer-only (point-check + chaos)"
 
-# --- Engine worker threads: --engine-jobs must never change results ---
-# Cluster runs execute as a single LP (the closed-loop submitters share one
-# harness Rng stream), so any engine worker count is inert by construction.
-# This enforces that contract end-to-end; the multi-LP engine's real
-# parallel determinism is pinned by the `par`-labeled ctests and the wider
-# seed matrix in tools/check_engine_jobs.sh.
-"$BIN" --point-check >"$serial" 2>/dev/null
-for ej in 2 8; do
-  "$BIN" --point-check --engine-jobs "$ej" >"$parallel" 2>/dev/null
-  if ! diff -u "$serial" "$parallel"; then
-    echo "FAIL: --engine-jobs $ej changed point-check results" >&2
-    exit 1
-  fi
-done
+# --- Armed chaos: every fault kind plus the contention features at once ---
+# Crashes with recovery, eviction storms, log stalls, wire drop/dup/delay,
+# cwnd retry backoff, the hot-key path and adaptive DMA in one schedule.
+# Each seed runs twice, at --jobs 1 and --jobs 4, and the transcripts must
+# match byte for byte. (A one-seed run executes inline at any --jobs, so this
+# is a rerun check; the threaded path is covered by the --seeds 1-4 sections.)
 if [[ -n "$CHAOS_BIN" ]]; then
-  "$CHAOS_BIN" --seeds 1-2 >"$serial" || true
-  for ej in 2 8; do
-    "$CHAOS_BIN" --seeds 1-2 --engine-jobs "$ej" >"$parallel" || true
+  armed_flags=(--crashes 1 --storms 2 --stalls 1 --drop 0.01 --dup 0.01 --delay 0.02
+               --retry-policy cwnd --hot-key-path --adaptive-dma)
+  for seed in 7 11 42; do
+    "$CHAOS_BIN" --seed "$seed" "${armed_flags[@]}" --jobs 1 >"$serial" || true
+    "$CHAOS_BIN" --seed "$seed" "${armed_flags[@]}" --jobs 4 >"$parallel" || true
     if ! diff -u "$serial" "$parallel"; then
-      echo "FAIL: chaos --engine-jobs $ej changed verdicts" >&2
+      echo "FAIL: armed chaos seed $seed differs between --jobs 1 and 4" >&2
       exit 1
     fi
   done
+  echo "determinism OK: armed chaos seeds 7, 11, 42 are byte-identical across --jobs"
 fi
-echo "determinism OK: --engine-jobs {1,2,8} results are byte-identical"

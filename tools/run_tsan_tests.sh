@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Builds the tree with ThreadSanitizer (-DXENIC_TSAN=ON) and runs the
-# parallel-engine suite under it: the par-labeled ctests (multi-LP engine
-# + partitioning + the --engine-jobs matrix), the engine and calendar-queue
-# unit tests, and the topology section of bench_sim_speed with real worker
-# threads. The engine's synchronization story is deliberately narrow --
-# every cross-shard handoff (outbox mail, clock reads at barriers, pool
-# wakeups) goes through the pool mutex at epoch boundaries -- so a single
-# TSan report here means that story has a hole, not a benign race.
+# Builds the tree with ThreadSanitizer (-DXENIC_SANITIZE=thread) and runs
+# the one threaded code path under it: harness::SweepExecutor, which fans
+# independent simulation runs out over a worker pool. Covered by sweep_test
+# (including full simulation sweeps at 1, 2 and 8 workers) and by the
+# --jobs 1 / --jobs 4 sections of tools/check_determinism.sh (sweeps and
+# chaos seed ranges). The engine itself is serial, so a TSan report here
+# means two runs shared mutable state.
 #
 # Usage: tools/run_tsan_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -14,27 +13,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=${1:-build-tsan}
 
-cmake -B "$BUILD_DIR" -S . -DXENIC_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$BUILD_DIR" -S . -DXENIC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
-      engine_test calendar_queue_test par_engine_test partition_test \
-      sim_stress_test bench_sim_speed xenic_sweep_check xenic_chaos_runner
+      sweep_test xenic_sweep_check xenic_chaos_runner
 
 export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 
-# Parallel-engine unit suite (includes the multi-worker pool paths).
-"$BUILD_DIR"/tests/par_engine_test
-"$BUILD_DIR"/tests/partition_test
-"$BUILD_DIR"/tests/engine_test
-"$BUILD_DIR"/tests/calendar_queue_test
-"$BUILD_DIR"/tests/sim_stress_test
-
-# The engine-jobs matrix end-to-end (sweep + chaos under instrumentation).
-bash tools/check_engine_jobs.sh "$BUILD_DIR"/tools/xenic_sweep_check \
-     "$BUILD_DIR"/tools/chaos_runner tools/golden/chaos_seed3.txt
-
-# Real worker threads across every topology point (6/24/96 nodes x 1/4/8
-# jobs): the only code path where multiple engine workers genuinely run
-# concurrently. (The bench also self-checks cross-jobs byte-identity.)
-(cd "$BUILD_DIR" && ./bench/bench_sim_speed)
+"$BUILD_DIR"/tests/sweep_test
+bash tools/check_determinism.sh "$BUILD_DIR"/tools/xenic_sweep_check \
+     "$BUILD_DIR"/tools/chaos_runner
 
 echo "tsan run OK"

@@ -12,7 +12,6 @@
 // observability layer's zero-interference contract. --trace PATH also
 // exercises the Chrome trace-event export end to end.
 
-#include <cstring>
 #include <string>
 
 #include "bench/bench_common.h"
@@ -23,33 +22,22 @@ int main(int argc, char** argv) {
   using namespace xenic;
   using namespace xenic::bench;
 
-  SweepExecutor ex(SweepExecutor::ParseJobsFlag(argc, argv));
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  BenchOptions opts;
   bool point_check = false;
   std::string workload_name = "smallbank";
   uint32_t replication = 3;
   uint32_t quorum = 0;  // 0 = historical wait-for-all commit
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--point-check") == 0) {
-      point_check = true;
-    } else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc) {
-      workload_name = argv[++i];
-    } else if (std::strncmp(argv[i], "--workload=", 11) == 0) {
-      workload_name = argv[i] + 11;
-    } else if (std::strcmp(argv[i], "--replicas") == 0 && i + 1 < argc) {
-      replication = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replication = static_cast<uint32_t>(std::strtoul(argv[i] + 11, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quorum") == 0 && i + 1 < argc) {
-      quorum = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--quorum=", 9) == 0) {
-      quorum = static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-    }
-  }
-  if (workload_name != "smallbank" && workload_name != "ycsb") {
-    std::fprintf(stderr, "unknown --workload '%s' (smallbank|ycsb)\n", workload_name.c_str());
-    return 2;
-  }
+  Flags flags(
+      "Fixed-seed Smallbank sweep (Xenic and DrTM+H) printed for byte comparison; "
+      "--point-check prints one point per system instead.");
+  opts.Register(flags);
+  flags.Switch("--point-check", &point_check,
+               "one point per system, every simulation-derived scalar");
+  flags.StringChoice("--workload", &workload_name, {"smallbank", "ycsb"},
+                     "workload (default smallbank)");
+  harness::AddReplicationFlags(flags, &replication, &quorum);
+  flags.Parse(argc, argv);
+  SweepExecutor ex(opts.jobs);
 
   const uint32_t nodes = 3;
   auto make_wl = [&]() -> std::unique_ptr<workload::Workload> {
@@ -105,7 +93,7 @@ int main(int argc, char** argv) {
       RunConfig r = rc;
       r.contexts_per_node = 16;
       r.collect_resources = ci == 0 && opts.attrib;
-      r.trace = (ci == 0 && !opts.trace_path.empty()) ? &rec : nullptr;
+      r.trace = (ci == 0 && !opts.obs.trace_path.empty()) ? &rec : nullptr;
       // --txn-attrib: per-system critical-path collection. The point-check
       // line must stay byte-identical with this attached (enforced by
       // check_determinism.sh); the waterfall prints after it.
@@ -116,8 +104,8 @@ int main(int argc, char** argv) {
       // (enforced by the metrics section of check_determinism.sh); the
       // "metrics "-prefixed series print after it.
       obs::MetricRegistry reg;
-      r.metrics = (ci == 0 && opts.metrics) ? &reg : nullptr;
-      r.metrics_window = opts.metrics_window_us * sim::kNsPerUs;
+      r.metrics = (ci == 0 && opts.obs.metrics) ? &reg : nullptr;
+      r.metrics_window = opts.obs.metrics_window_us * sim::kNsPerUs;
       RunResult res = harness::RunWorkload(*system, *wl, r);
       std::printf("point-check[%s]: committed=%llu aborted=%llu counted=%llu median_ns=%llu "
                   "p99_ns=%llu max_ns=%llu sim_events=%llu window_ns=%llu\n",
@@ -154,12 +142,12 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(txn_sink.late_spans()));
       }
     }
-    if (!opts.trace_path.empty()) {
-      if (!rec.WriteJson(opts.trace_path)) {
-        std::fprintf(stderr, "failed to write %s\n", opts.trace_path.c_str());
+    if (!opts.obs.trace_path.empty()) {
+      if (!rec.WriteJson(opts.obs.trace_path)) {
+        std::fprintf(stderr, "failed to write %s\n", opts.obs.trace_path.c_str());
         return 1;
       }
-      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", opts.trace_path.c_str(),
+      std::fprintf(stderr, "wrote %s (%zu events, %zu tracks)\n", opts.obs.trace_path.c_str(),
                    rec.num_events(), rec.num_tracks());
     }
     return 0;
