@@ -128,33 +128,6 @@ inline std::vector<Curve> RunSweeps(const std::vector<SystemConfig>& cfgs,
   return curves;
 }
 
-// Run one system across the load sweep. A fresh workload instance is built
-// for the system (workloads hold per-node local state). NOTE: unlike
-// RunSweeps, the system instance is shared across the sweep's load points
-// (database state carries over), so this path cannot be parallelized.
-inline Curve RunSweep(const SystemConfig& cfg,
-                      const std::function<std::unique_ptr<workload::Workload>()>& make_workload,
-                      const std::vector<uint32_t>& loads, RunConfig rc) {
-  auto wl = make_workload();
-  auto system = harness::BuildSystem(cfg, *wl);
-  harness::LoadWorkload(*system, *wl);
-  Curve curve;
-  curve.system = system->Name();
-  for (uint32_t contexts : loads) {
-    rc.contexts_per_node = contexts;
-    CurvePoint p;
-    p.contexts = contexts;
-    p.result = harness::RunWorkload(*system, *wl, rc);
-    curve.points.push_back(std::move(p));
-    std::fprintf(stderr, "  [%s] contexts=%u tput=%s/srv median=%.1fus abort=%.1f%%\n",
-                 curve.system.c_str(), contexts,
-                 TablePrinter::FmtOps(curve.points.back().result.tput_per_server).c_str(),
-                 curve.points.back().result.MedianLatencyUs(),
-                 curve.points.back().result.abort_rate * 100);
-  }
-  return curve;
-}
-
 // Print the full curves plus the paper-style comparison summary (peak
 // throughput factor and median latency reduction vs the best alternative).
 // Set XENIC_BENCH_CSV=1 to also emit plot-ready CSV.
@@ -289,7 +262,7 @@ struct BenchOptions {
 
 // Apply the contention-control flags (and --seed) to a run: the retry
 // policy shapes the harness's abort backoff, the feature toggles flip the
-// Xenic systems' hot-key fast path, adaptive DMA batching and CC policy.
+// Xenic systems' hot-key fast path and CC policy.
 // Defaults leave everything byte-identical to the historical behavior.
 inline void ApplyContentionOptions(const BenchOptions& o, RunConfig* rc,
                                    SystemConfig* cfg = nullptr) {

@@ -28,32 +28,22 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> loads = {2, 16, 64, 128};
   ApplyContentionOptions(opts, &rc);
 
-  std::vector<Curve> curves;
-  {
-    SystemConfig on_path;
-    on_path.kind = SystemConfig::Kind::kXenic;
-    on_path.num_nodes = nodes;
-    ApplyContentionOptions(opts, nullptr, &on_path);
-    curves.push_back(RunSweep(on_path, make_wl, loads, rc));
-    curves.back().system = "Xenic (on-path NIC)";
-  }
-  {
-    SystemConfig off_path;
-    off_path.kind = SystemConfig::Kind::kXenic;
-    off_path.num_nodes = nodes;
-    off_path.perf = net::OffPathPerfModel();
-    ApplyContentionOptions(opts, nullptr, &off_path);
-    curves.push_back(RunSweep(off_path, make_wl, loads, rc));
-    curves.back().system = "Xenic (off-path NIC)";
-  }
-  {
-    SystemConfig drtmh;
-    drtmh.kind = SystemConfig::Kind::kBaseline;
-    drtmh.mode = baseline::BaselineMode::kDrtmH;
-    drtmh.num_nodes = nodes;
-    curves.push_back(RunSweep(drtmh, make_wl, loads, rc));
-    curves.back().system = "DrTM+H (RDMA NIC)";
-  }
+  SystemConfig on_path;
+  on_path.kind = SystemConfig::Kind::kXenic;
+  on_path.num_nodes = nodes;
+  ApplyContentionOptions(opts, nullptr, &on_path);
+  SystemConfig off_path = on_path;
+  off_path.perf = net::OffPathPerfModel();
+  SystemConfig drtmh;
+  drtmh.kind = SystemConfig::Kind::kBaseline;
+  drtmh.mode = baseline::BaselineMode::kDrtmH;
+  drtmh.num_nodes = nodes;
+
+  SweepExecutor ex(opts.jobs);
+  std::vector<Curve> curves = RunSweeps({on_path, off_path, drtmh}, make_wl, loads, rc, ex);
+  curves[0].system = "Xenic (on-path NIC)";
+  curves[1].system = "Xenic (off-path NIC)";
+  curves[2].system = "DrTM+H (RDMA NIC)";
 
   PrintCurves("Extension: on-path vs off-path SmartNIC (Smallbank)", curves);
   std::printf("Paper 4.3.4: \"if the SmartNIC hardware does not show latency reduction\n"

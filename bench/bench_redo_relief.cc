@@ -1,15 +1,14 @@
 // Contention-relief comparison: how much of the p95+ redo and DMA tail the
-// retry-policy / hot-key / adaptive-DMA stack removes, on the workload that
-// motivated it (skewed Smallbank near saturation, where --txn-attrib showed
-// redo dominating the p50->p95 gap).
+// retry-policy / hot-key stack removes, on the workload that motivated it
+// (skewed Smallbank near saturation, where --txn-attrib showed redo
+// dominating the p50->p95 gap).
 //
-// Five cumulative configurations share one seed and one load sweep:
+// Three cumulative configurations share one seed and one load sweep, one
+// on/off step per knob:
 //
 //   uniform            the historical fixed backoff (baseline)
 //   expjitter          capped exponential backoff with full jitter
-//   cwnd               contention-window backoff (abort hints only)
-//   cwnd+hot           ... plus the NIC-serialized hot-key fast path
-//   cwnd+hot+adma      ... plus occupancy-aware DMA vector sizing
+//   expjitter+hot      ... plus the NIC-serialized hot-key fast path
 //
 // For each: sweep to find the peak-throughput point, rerun that point with
 // a TxnTraceSink, and report the tail cohort's redo/DMA bucket means next
@@ -30,15 +29,12 @@ struct Variant {
   const char* name;
   txn::RetryPolicyKind kind;
   bool hot_key_path;
-  bool adaptive_dma;
 };
 
 constexpr Variant kVariants[] = {
-    {"uniform", txn::RetryPolicyKind::kUniform, false, false},
-    {"expjitter", txn::RetryPolicyKind::kExpJitter, false, false},
-    {"cwnd", txn::RetryPolicyKind::kContentionWindow, false, false},
-    {"cwnd+hot", txn::RetryPolicyKind::kContentionWindow, true, false},
-    {"cwnd+hot+adma", txn::RetryPolicyKind::kContentionWindow, true, true},
+    {"uniform", txn::RetryPolicyKind::kUniform, false},
+    {"expjitter", txn::RetryPolicyKind::kExpJitter, false},
+    {"expjitter+hot", txn::RetryPolicyKind::kExpJitter, true},
 };
 constexpr size_t kNumVariants = sizeof(kVariants) / sizeof(kVariants[0]);
 
@@ -69,7 +65,7 @@ int main(int argc, char** argv) {
   ApplyContentionOptions(opts, &base_rc);  // --seed/--backoff-base/--retry-cap
   if (opts.contention.retry_cap_us == 0) {
     // Tuned default for this comparison: the cap bounds the widest window
-    // the adaptive policies may draw from, and every tick of backoff is
+    // expjitter may draw from, and every tick of backoff is
     // charged to the retry's redo bucket -- so the useful cap is on the
     // order of the lock-hold time (a few us here), not the library-wide
     // 256us ceiling. Override with --retry-cap to study other settings.
@@ -83,7 +79,6 @@ int main(int argc, char** argv) {
     cfg.num_nodes = nodes;
     cfg.replication = 3;
     cfg.features.hot_key_fastpath = v.hot_key_path;
-    cfg.nic_features.adaptive_dma_batching = v.adaptive_dma;
     return cfg;
   };
   auto variant_rc = [&](const Variant& v) {

@@ -234,6 +234,7 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
   };
 
   uint32_t active = 0;
+  uint32_t backing_off = 0;  // of `active`: chains asleep in an abort backoff
   std::function<void(store::NodeId, uint32_t)> run_one = [&](store::NodeId n,
                                                              uint32_t tries) {
     if (engine.now() >= config.horizon) {
@@ -245,8 +246,8 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
     const sim::Tick submitted = engine.now();
     // A submit to a crashed coordinator is silently dropped: the chain
     // wedges, which is exactly what a client talking to a dead node sees.
-    system->Submit(n, std::move(req), [&, n, obs, submitted, tries](txn::TxnResult res) {
-      const bool committed = res.outcome == TxnOutcome::kCommitted;
+    system->Submit(n, std::move(req), [&, n, obs, submitted, tries](TxnOutcome res) {
+      const bool committed = res == TxnOutcome::kCommitted;
       if (committed) {
         recorder.Commit(obs);
         verdict.committed++;
@@ -254,13 +255,15 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
         verdict.aborted++;
       }
       record_completion(submitted, committed);
-      // Armed retry backoff (contention-scaled); with it off the submitter
-      // loops back-to-back exactly as it always has (no extra Rng draws).
-      if (!committed && config.retry_aborts &&
-          res.outcome == TxnOutcome::kAborted) {
-        const sim::Tick backoff =
-            txn::RetryBackoff(config.retry, tries, res.contention, rng);
-        engine.ScheduleAfter(backoff, [&, n, tries] { run_one(n, tries + 1); });
+      // Armed retry backoff; with it off the submitter loops back-to-back
+      // exactly as it always has (no extra Rng draws).
+      if (!committed && config.retry_aborts && res == TxnOutcome::kAborted) {
+        const sim::Tick backoff = txn::RetryBackoff(config.retry, tries, rng);
+        backing_off++;
+        engine.ScheduleAfter(backoff, [&, n, tries] {
+          backing_off--;
+          run_one(n, tries + 1);
+        });
         return;
       }
       run_one(n, 0);
@@ -287,7 +290,12 @@ ChaosVerdict RunChaos(const ChaosConfig& config) {
     engine.RunUntil(config.horizon);
     engine.RunFor(config.drain);
   }
-  verdict.unfinished = active;
+  // A chain asleep in a backoff (which may outlast the drain: the expjitter
+  // cap is 256 us) has no transaction in flight and wakes up to find the
+  // horizon passed, so it is not wedged. Every other open chain is.
+  verdict.retry_armed = config.retry_aborts;
+  verdict.backing_off = backing_off;
+  verdict.unfinished = active - backing_off;
 
   // Chains wedge only when their coordinator died mid-flight; anything
   // beyond that is a transaction the epoch sweep failed to resolve.
@@ -437,7 +445,11 @@ std::string ChaosVerdict::Summary() const {
   std::ostringstream os;
   os << "chaos system=" << system_name << " seed=" << seed << " epoch=" << epoch << "\n";
   os << "txns: committed=" << committed << " aborted=" << aborted
-     << " unfinished=" << unfinished << "\n";
+     << " unfinished=" << unfinished;
+  if (retry_armed) {
+    os << " backing_off=" << backing_off;
+  }
+  os << "\n";
   os << "faults: crashes=" << faults.crashes << " skipped=" << faults.crashes_skipped
      << " storms=" << faults.storms << " evictions=" << faults.storm_evictions
      << " stalls=" << faults.stalls << "\n";

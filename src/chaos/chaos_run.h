@@ -86,6 +86,11 @@ struct ChaosVerdict {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   uint32_t unfinished = 0;  // chains wedged at run end (crashed coordinators)
+  // Chains asleep in an abort backoff at run end: not wedged, and reported
+  // (as backing_off=) only when ChaosConfig::retry_aborts is armed, so
+  // other configs keep their historical Summary() byte layout.
+  bool retry_armed = false;
+  uint32_t backing_off = 0;
 
   FaultInjector::Stats faults;
   // Typed-drop reporting is emitted only when the fault was armed, so

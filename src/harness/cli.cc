@@ -28,8 +28,7 @@ constexpr SystemSpelling kSystems[] = {
 
 void ContentionOptions::Register(Flags& flags, bool with_cc) {
   std::vector<std::pair<std::string, std::optional<txn::RetryPolicyKind>>> policies;
-  for (auto k : {txn::RetryPolicyKind::kUniform, txn::RetryPolicyKind::kExpJitter,
-                 txn::RetryPolicyKind::kContentionWindow}) {
+  for (auto k : {txn::RetryPolicyKind::kUniform, txn::RetryPolicyKind::kExpJitter}) {
     policies.emplace_back(txn::RetryPolicyName(k), k);
   }
   flags.Choice("--retry-policy", &retry_policy, std::move(policies),
@@ -39,7 +38,6 @@ void ContentionOptions::Register(Flags& flags, bool with_cc) {
   flags.Positive("--retry-cap", &retry_cap_us,
                  "backoff window cap in microseconds (default 256)");
   flags.Switch("--hot-key-path", &hot_key_path, "serialize sketch-flagged hot keys on the NIC");
-  flags.Switch("--adaptive-dma", &adaptive_dma, "occupancy-aware DMA vector sizing");
   if (!with_cc) {
     return;
   }
@@ -66,9 +64,6 @@ void ApplyContentionOptions(const ContentionOptions& o, txn::RetryPolicyConfig* 
   if (cfg != nullptr && cfg->kind == SystemConfig::Kind::kXenic) {
     if (o.hot_key_path) {
       cfg->features.hot_key_fastpath = true;
-    }
-    if (o.adaptive_dma) {
-      cfg->nic_features.adaptive_dma_batching = true;
     }
     cfg->features.cc = o.cc;
   }

@@ -18,14 +18,13 @@
 namespace xenic::harness {
 
 // Contention control: --retry-policy, --backoff-base, --retry-cap,
-// --hot-key-path, --adaptive-dma and, with `with_cc`, --cc. Defaults
-// reproduce the historical behavior byte for byte.
+// --hot-key-path and, with `with_cc`, --cc. Defaults reproduce the
+// historical behavior byte for byte.
 struct ContentionOptions {
   std::optional<txn::RetryPolicyKind> retry_policy;  // unset = not given
   uint64_t backoff_base_us = 0;  // 0 = keep the RetryPolicyConfig default
   uint64_t retry_cap_us = 0;     // 0 = keep the RetryPolicyConfig default
   bool hot_key_path = false;     // Xenic systems only
-  bool adaptive_dma = false;     // Xenic systems only
   txn::CcPolicyKind cc = txn::CcPolicyKind::kOcc;  // Xenic systems only
 
   void Register(Flags& flags, bool with_cc = true);

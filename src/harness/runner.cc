@@ -56,12 +56,12 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
     const uint64_t id = sh->system->Submit(
         node, std::move(copy),
         [sh, node, tag, start, attempt_start, id_box, self, r = std::move(r),
-         tries](txn::TxnResult res) mutable {
+         tries](txn::TxnOutcome res) mutable {
           if (sh->stopped) {
             return;
           }
           sim::Engine& eng = sh->system->engine();
-          if (res.outcome == txn::TxnOutcome::kAborted &&
+          if (res == txn::TxnOutcome::kAborted &&
               tries < sh->config->retry.max_retries) {
             if (tries == 0 && sh->measuring) {
               sh->aborts++;
@@ -74,10 +74,7 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
               // retry's tree; the lost time shows up as the redo bucket.
               sh->txn_sink->Discard(*id_box);
             }
-            // Backoff per the configured policy, scaled by the contention
-            // hint the coordinator returned with the abort.
-            const sim::Tick backoff =
-                txn::RetryBackoff(sh->config->retry, tries, res.contention, sh->rng);
+            const sim::Tick backoff = txn::RetryBackoff(sh->config->retry, tries, sh->rng);
             // Detached: this completion runs under the aborted attempt's
             // trace context (the system sets it for the commit/abort
             // path), and that id was just Discard()ed above -- a plain
@@ -93,7 +90,7 @@ void RunContext(std::shared_ptr<Shared> sh, store::NodeId node) {
             return;
           }
           bool counted = false;
-          if (res.outcome == txn::TxnOutcome::kCommitted && sh->measuring) {
+          if (res == txn::TxnOutcome::kCommitted && sh->measuring) {
             sh->commits++;
             if (sh->m_committed != nullptr) {
               sh->m_committed->Add(eng.now());
@@ -186,7 +183,6 @@ RunResult RunWorkload(SystemAdapter& system, workload::Workload& workload,
     reg->AddCumulative("cc_waits", {}, [snap] { return snap->cc_waits; });
     reg->AddCumulative("hot_path", {}, [snap] { return snap->hot_path; });
     reg->AddCumulative("nic_log_applied", {}, [snap] { return snap->nic_log_applied; });
-    reg->AddCumulative("replica_reads", {}, [snap] { return snap->replica_reads; });
     // The --msg-breakdown conservation law as a live metric: per-type
     // message counts must sum to the transport total at every boundary
     // (sampling happens between events, where the law always holds).

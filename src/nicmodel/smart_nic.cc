@@ -16,7 +16,6 @@ SmartNic::SmartNic(sim::Engine* engine, const net::PerfModel& model, SmartNicFab
       host_cores_(engine, "n" + std::to_string(id) + ".host_cores", model.host_threads),
       dma_queues_(engine, "n" + std::to_string(id) + ".dma_queues", model.dma_queues),
       dma_submit_port_(engine, "n" + std::to_string(id) + ".dma_submit", 1),
-      dma_batcher_(model.dma_vector_max),
       pcie_up_(engine, "n" + std::to_string(id) + ".pcie_up", model.pcie_bytes_per_ns, 0),
       pcie_down_(engine, "n" + std::to_string(id) + ".pcie_down", model.pcie_bytes_per_ns, 0) {
   // Node-qualified names ("n3.tx0") keep trace tracks distinguishable when
@@ -173,15 +172,8 @@ void SmartNic::DmaOp(uint64_t bytes, bool is_read, sim::Engine::Callback done) {
 
   // Async vectored model: submission cost and the engine's descriptor
   // fetch are amortized across a vector; the core is free while the DMA
-  // engine works. The static model assumes an always-full vector; the
-  // adaptive model (NicFeatures::adaptive_dma_batching) sizes the vector
-  // from the queue occupancy observed at submission, so idle-engine
-  // submissions pay closer to the real descriptor-fetch cost while loaded
-  // ones amortize exactly like the static model.
-  const uint32_t vec = features_.adaptive_dma_batching
-                           ? dma_batcher_.OnSubmit(dma_queues_.queue_depth())
-                           : model_.dma_vector_max;
-  const sim::Tick submit_share = model_.dma_submit_cost / vec + 1;
+  // engine works. The model assumes an always-full vector.
+  const sim::Tick submit_share = model_.dma_submit_cost / model_.dma_vector_max + 1;
   nic_cores_.Submit(submit_share, [this, submit_share, service, completion,
                                    done = std::move(done)]() mutable {
     dma_submit_port_.Submit(submit_share, [this, service, completion,

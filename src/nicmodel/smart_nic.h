@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/net/perf_model.h"
-#include "src/nicmodel/dma_batcher.h"
 #include "src/sim/channel.h"
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
@@ -40,10 +39,6 @@ struct NicFeatures {
   bool eth_aggregation = true;    // batch NIC-to-NIC messages into frames
   bool pcie_aggregation = true;   // batch host<->NIC PCIe message queues
   bool async_dma_batching = true; // vectored, non-blocking DMA submission
-  // Occupancy-aware vector sizing on top of async batching (see
-  // dma_batcher.h). Off by default: the static always-full-vector model is
-  // the historical behavior and every existing seed depends on it.
-  bool adaptive_dma_batching = false;
 };
 
 class SmartNicFabric;
@@ -77,7 +72,6 @@ class SmartNic {
   sim::Resource& host_cores() { return host_cores_; }
   sim::Resource& dma_queues() { return dma_queues_; }
   sim::Resource& dma_submit_port() { return dma_submit_port_; }
-  const DmaVectorBatcher& dma_batcher() const { return dma_batcher_; }
   sim::Channel& pcie_up() { return pcie_up_; }
   sim::Channel& pcie_down() { return pcie_down_; }
   sim::Channel& rx_port(size_t i) { return *rx_ports_[i]; }
@@ -124,8 +118,6 @@ class SmartNic {
   // Descriptor-fetch port of the DMA engine: one submission per request,
   // or one per 15-element vector when vectored submission is enabled.
   sim::Resource dma_submit_port_;
-  // Occupancy-tracked vector size (adaptive_dma_batching only).
-  DmaVectorBatcher dma_batcher_;
   std::vector<std::unique_ptr<sim::Channel>> tx_ports_;
   std::vector<std::unique_ptr<sim::Channel>> rx_ports_;
   sim::Channel pcie_up_;    // host -> NIC descriptor/message queue

@@ -4,15 +4,15 @@
 // replicated LOG records into the backup tables as they stabilize -- the
 // work is charged to the NIC compute resource, so it books under `nic_arm`
 // in --attrib, and backup state stays continuously fresh enough to serve
-// replica reads and planned failover without a recovery scan.
+// planned failover without a recovery scan.
 //
 // Stability gate: a kLog record is applied only once its transaction's
 // commit point is known (CommitLog::IsStable, set by the coordinator's
 // post-commit kLogCommit notification or by recovery roll-forward) or the
 // transaction was tombstoned by an epoch sweep (consumed without
 // applying). This keeps writes of transactions that later abort after
-// replication out of the backup tables -- the invariant replica reads
-// depend on. kCommit records are the primary's own post-commit-point
+// replication out of the backup tables -- the invariant planned failover
+// depends on. kCommit records are the primary's own post-commit-point
 // appends and are always stable.
 
 #ifndef SRC_REPL_LOG_APPLIER_H_

@@ -50,20 +50,6 @@ class ReplicationGroup {
     return map_->BackupsOf(shard);
   }
 
-  // Chain membership: is `node` one of `shard`'s backups (ignoring crash
-  // marks -- a node that is marked failed is never a backup)?
-  bool IsBackupOf(store::NodeId node, store::NodeId shard) const {
-    if (map_->IsFailed(node)) {
-      return false;
-    }
-    for (uint32_t i = 1; i < map_->replication; ++i) {
-      if ((shard + i) % map_->num_nodes == node) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   // Backup acks required before the commit point for a record on `shard`,
   // given the current live fan-out set. Defaults to "all live backups".
   uint32_t AcksRequired(store::NodeId shard) const {

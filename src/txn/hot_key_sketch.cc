@@ -1,7 +1,5 @@
 #include "src/txn/hot_key_sketch.h"
 
-#include <algorithm>
-
 namespace xenic::txn {
 
 HotKeySketch::HotKeySketch() : HotKeySketch(Options{}) {}
@@ -74,16 +72,6 @@ bool HotKeySketch::IsHot(const KeyRef& key, sim::Tick now) {
   Decay(now);
   Slot* slot = Find(key);
   return slot != nullptr && slot->hot;
-}
-
-uint8_t HotKeySketch::Level(const KeyRef& key, sim::Tick now) {
-  Decay(now);
-  Slot* slot = Find(key);
-  if (slot == nullptr) {
-    return 0;
-  }
-  const uint64_t scaled = slot->count * 128 / std::max<uint64_t>(1, options_.promote_threshold);
-  return static_cast<uint8_t>(std::min<uint64_t>(255, scaled));
 }
 
 size_t HotKeySketch::HotCount(sim::Tick now) {

@@ -2,14 +2,10 @@
 // ranked by recent lock/validation conflicts, maintained by the NIC-side
 // handlers (pure state -- recording charges no simulated time).
 //
-// Two consumers:
-//   * Contention hints. Level() maps a key's decayed conflict count to a
-//     0..255 pressure value that travels back to the aborted transaction's
-//     submitter, where the contention-window retry policy scales its
-//     backoff by it.
-//   * Hot-key fast path routing. IsHot() drives XenicNode's decision to
-//     take an all-local transaction through the serialized NIC queue
-//     instead of the optimistic race.
+// One consumer: hot-key fast path routing. IsHot() drives XenicNode's
+// decision to take an all-local transaction through the serialized NIC
+// queue instead of the optimistic race, and to park a remote lock request
+// behind the holder instead of denying it.
 //
 // Promotion/demotion use hysteresis (promote at >= promote_threshold,
 // demote only once decay drags the count to <= demote_threshold) so a key
@@ -48,10 +44,6 @@ class HotKeySketch {
 
   // Routing decision (with hysteresis). Untracked keys are never hot.
   bool IsHot(const KeyRef& key, sim::Tick now);
-
-  // Contention pressure 0..255; scaled so a key at exactly the promotion
-  // threshold reports 128. Untracked keys report 0.
-  uint8_t Level(const KeyRef& key, sim::Tick now);
 
   // Currently hot keys (after decay), for tests and debugging.
   size_t HotCount(sim::Tick now);

@@ -4,8 +4,7 @@
 
 namespace xenic::txn {
 
-sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, uint8_t contention,
-                       Rng& rng) {
+sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, Rng& rng) {
   const sim::Tick base = std::max<sim::Tick>(1, cfg.backoff_base);
   const sim::Tick cap = std::max<sim::Tick>(base, cfg.backoff_cap);
   switch (cfg.kind) {
@@ -20,18 +19,6 @@ sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, uint8_t con
       const sim::Tick window = std::min<sim::Tick>(cap, base << shift);
       return 1 + rng.NextBounded(window);
     }
-    case RetryPolicyKind::kContentionWindow: {
-      // Window grows with the product of the contention hint (0..255; 128
-      // is the sketch's promotion level) and the retry count: uncontended
-      // aborts retry faster than the uniform baseline, hot-key aborts
-      // spread out instead of re-colliding. Full jitter over the window --
-      // a low mean wait matters more for the redo tail than a high floor,
-      // since every tick of backoff is charged to the retry's redo bucket.
-      const sim::Tick pressure =
-          static_cast<sim::Tick>(contention) * static_cast<sim::Tick>(tries + 1);
-      const sim::Tick window = std::min<sim::Tick>(cap, base + base * pressure / 64);
-      return 1 + rng.NextBounded(window);
-    }
   }
   return base;  // unreachable
 }
@@ -41,8 +28,6 @@ bool ParseRetryPolicy(const std::string& name, RetryPolicyKind* out) {
     *out = RetryPolicyKind::kUniform;
   } else if (name == "expjitter") {
     *out = RetryPolicyKind::kExpJitter;
-  } else if (name == "cwnd") {
-    *out = RetryPolicyKind::kContentionWindow;
   } else {
     return false;
   }
@@ -55,8 +40,6 @@ const char* RetryPolicyName(RetryPolicyKind kind) {
       return "uniform";
     case RetryPolicyKind::kExpJitter:
       return "expjitter";
-    case RetryPolicyKind::kContentionWindow:
-      return "cwnd";
   }
   return "?";
 }

@@ -2,20 +2,16 @@
 // the chaos submitters). The harness historically used one fixed scheme --
 // uniform in [base, 2*base] -- which ignores how contended the aborted keys
 // actually were; --txn-attrib showed the resulting redo time dominating the
-// p50->p95 gap under skew. Three policies are provided:
+// p50->p95 gap under skew. Two policies are provided:
 //
 //   kUniform           base + U[0, base]          (the historical default,
 //                      reproduced byte-for-byte including its single Rng
 //                      draw, so existing seeds keep their exact schedules)
 //   kExpJitter         full jitter over a window that doubles per retry,
 //                      capped at `backoff_cap`
-//   kContentionWindow  window scales with the contention hint the
-//                      coordinator returned in the abort result (the
-//                      hot-key sketch's level for the conflicting key) and
-//                      with the retry count, capped at `backoff_cap`
 //
-// Determinism: every policy is a pure function of (config, tries,
-// contention, rng state). All randomness flows through the caller's seeded
+// Determinism: every policy is a pure function of (config, tries, rng
+// state). All randomness flows through the caller's seeded
 // Rng, so a given (policy, seed) pair produces one schedule regardless of
 // --jobs or attached observers.
 
@@ -33,22 +29,20 @@ namespace xenic::txn {
 enum class RetryPolicyKind : uint8_t {
   kUniform = 0,
   kExpJitter,
-  kContentionWindow,
 };
 
 struct RetryPolicyConfig {
   RetryPolicyKind kind = RetryPolicyKind::kUniform;
   sim::Tick backoff_base = 4 * sim::kNsPerUs;  // the historical default
-  sim::Tick backoff_cap = 256 * sim::kNsPerUs; // ceiling for the adaptive policies
+  sim::Tick backoff_cap = 256 * sim::kNsPerUs; // ceiling for expjitter
   uint32_t max_retries = 200;                  // then drop the transaction
 };
 
-// One backoff draw for retry number `tries` (0-based) after an abort whose
-// result carried `contention` (0 = no signal). Always returns >= 1 tick.
-sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, uint8_t contention,
-                       Rng& rng);
+// One backoff draw for retry number `tries` (0-based). Always returns
+// >= 1 tick.
+sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, Rng& rng);
 
-// CLI names: "uniform" | "expjitter" | "cwnd". Returns false on an unknown
+// CLI names: "uniform" | "expjitter". Returns false on an unknown
 // name (out is untouched).
 bool ParseRetryPolicy(const std::string& name, RetryPolicyKind* out);
 const char* RetryPolicyName(RetryPolicyKind kind);

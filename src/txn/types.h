@@ -117,21 +117,7 @@ enum class CcPolicyKind : uint8_t {
   kWoundWait,  // 2PL, older requester wounds the holder / younger waits
 };
 
-// Outcome plus the coordinator's contention hint: the hot-key sketch level
-// (0..255) of the most contended key the transaction conflicted on, 0 when
-// no signal. Implicitly converts to/from TxnOutcome so callbacks that only
-// care about the outcome keep working unchanged.
-struct TxnResult {
-  TxnOutcome outcome = TxnOutcome::kCommitted;
-  uint8_t contention = 0;
-
-  TxnResult() = default;
-  TxnResult(TxnOutcome o) : outcome(o) {}  // NOLINT(google-explicit-constructor)
-  TxnResult(TxnOutcome o, uint8_t c) : outcome(o), contention(c) {}
-  operator TxnOutcome() const { return outcome; }  // NOLINT
-};
-
-using CommitCallback = std::function<void(TxnResult)>;
+using CommitCallback = std::function<void(TxnOutcome)>;
 
 // Xenic protocol feature flags (Figure 9 ablations). All on by default.
 struct XenicFeatures {
@@ -154,10 +140,6 @@ struct XenicFeatures {
   // Off by default: adds kLogCommit traffic and changes event schedules,
   // so the golden chaos transcript and all existing seeds stay identical.
   bool nic_log_apply = false;
-  // Serve single-shard read-only transactions from NIC-applied backup
-  // state behind a freshness/epoch fence (requires nic_log_apply; see
-  // XenicNode::ReplicaReadPath). Off by default, same reason as above.
-  bool replica_reads = false;
   // Concurrency-control policy. kOcc (default) is the unmodified paper
   // pipeline; any 2PL kind disables the shipped/hot-key routes, locks the
   // read set at EXECUTE time, and skips VALIDATE (see cc_policy.h).
@@ -299,9 +281,7 @@ struct TxnStats {
   uint64_t hot_remote_parks = 0;  // remote lock denials parked at the primary
 
   // Replication subsystem accounting (repl::, zero at default config).
-  uint64_t nic_log_applied = 0;      // records applied by the NIC-ARM applier
-  uint64_t replica_reads = 0;        // read-only txns served from backup state
-  uint64_t replica_read_fallback = 0;  // freshness fence failed -> distributed
+  uint64_t nic_log_applied = 0;  // records applied by the NIC-ARM applier
 
   void Reset() { *this = TxnStats{}; }
 };

@@ -71,8 +71,6 @@ TxnStats XenicCluster::TotalStats() const {
     total.cc_waits += s.cc_waits;
     total.cc_wounds += s.cc_wounds;
     total.nic_log_applied += s.nic_log_applied;
-    total.replica_reads += s.replica_reads;
-    total.replica_read_fallback += s.replica_read_fallback;
   }
   return total;
 }

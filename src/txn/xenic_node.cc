@@ -154,16 +154,6 @@ void XenicNode::SubmitOnHost(StatePtr st) {
     return;
   }
 
-  // Replica read (features.replica_reads): a read-only transaction whose
-  // whole read set lives on one remote shard that this node backs up can
-  // be served from the NIC-applied local backup state, behind a freshness
-  // fence, without any wire round trip.
-  NodeId replica_shard = 0;
-  if (ReplicaReadEligible(*st, &replica_shard)) {
-    ReplicaReadPath(std::move(st), replica_shard);
-    return;
-  }
-
   // Distributed: ship the transaction state to the coordinator-side NIC.
   const TxnId txn = st->id;
   TxnState* raw = st.get();
@@ -250,120 +240,6 @@ void XenicNode::LocalReadOnlyPath(StatePtr st) {
       stats_.app_aborted++;
     } else {
       stats_.committed++;
-    }
-    const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
-    EraseState(txn);
-    done(outcome);
-  });
-}
-
-bool XenicNode::ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const {
-  if (!features_->replica_reads || !features_->nic_log_apply || Cc2pl()) {
-    // Requires the NIC applier (stability-gated backup state) and OCC --
-    // 2PL reads take locks at the primary by design.
-    return false;
-  }
-  if (!st.write_keys.empty() || !st.req.local_log_writes.empty() || st.read_keys.empty()) {
-    return false;
-  }
-  const NodeId shard = map_->PrimaryOf(st.read_keys[0].table, st.read_keys[0].key);
-  for (const auto& k : st.read_keys) {
-    if (map_->PrimaryOf(k.table, k.key) != shard) {
-      return false;  // multi-shard read set: no single backup holds it all
-    }
-  }
-  if (shard == id() || map_->IsFailed(shard) || !repl_->IsBackupOf(id(), shard)) {
-    return false;
-  }
-  *shard_out = shard;
-  return true;
-}
-
-void XenicNode::ReplicaReadPath(StatePtr st, NodeId shard) {
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-
-  // Same host cost shape as the local read-only path: the reads hit the
-  // local (backup) tables, so no NIC or wire work is charged.
-  sim::Tick cost = kHostInitCost + raw->req.exec_cost;
-  cost += kHostKeyCost * static_cast<sim::Tick>(raw->read_keys.size());
-  nic_->HostCompute(cost, [this, txn, shard] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_) {
-      return;
-    }
-    // Freshness fence. Serve from backup state only while (a) the routing
-    // epoch is unchanged since submission, (b) the shard's primary has not
-    // been declared failed, and (c) the local commit log is fully drained.
-    // With the stability gate, a drained log means every applied record
-    // was at or below its transaction's commit point and nothing newer is
-    // parked -- the backup tables are a prefix-consistent snapshot of the
-    // shard, so the whole read set is one serializable point-in-time view.
-    if (st->map_version != map_->version || map_->IsFailed(shard) ||
-        ds_->log().Peek() != nullptr) {
-      stats_.replica_read_fallback++;
-      EscalateToDistributed(txn);
-      return;
-    }
-    bool app_abort = false;
-    int round = 0;
-    while (true) {
-      for (size_t i = 0; i < st->read_keys.size(); ++i) {
-        if (st->reads[i].found) {
-          continue;
-        }
-        const auto& k = st->read_keys[i];
-        auto r = ds_->FreshLookup(k.table, k.key);
-        if (r) {
-          st->reads[i] = ReadResult{true, r->seq, std::move(r->value)};
-        }
-      }
-      std::vector<KeyRef> add_reads;
-      std::vector<KeyRef> add_writes;
-      bool abort_flag = false;
-      ExecRound er;
-      er.round = round++;
-      er.read_keys = &st->read_keys;
-      er.reads = &st->reads;
-      er.write_keys = &st->write_keys;
-      er.writes = &st->writes;
-      er.add_reads = &add_reads;
-      er.add_writes = &add_writes;
-      er.abort = &abort_flag;
-      if (st->req.execute) {
-        st->req.execute(er);
-      }
-      if (abort_flag) {
-        app_abort = true;
-        break;
-      }
-      assert(add_writes.empty() && "read-only transaction added writes");
-      if (add_reads.empty()) {
-        break;
-      }
-      bool same_shard = true;
-      for (const auto& k : add_reads) {
-        same_shard &= map_->PrimaryOf(k.table, k.key) == shard;
-      }
-      if (!same_shard) {
-        // Execution discovered keys off this shard: the snapshot no longer
-        // covers the read set. Restart on the distributed path.
-        stats_.replica_read_fallback++;
-        EscalateToDistributed(txn);
-        return;
-      }
-      for (const auto& k : add_reads) {
-        st->read_keys.push_back(k);
-        st->reads.emplace_back();
-      }
-    }
-    auto done = std::move(st->done);
-    if (app_abort) {
-      stats_.app_aborted++;
-    } else {
-      stats_.committed++;
-      stats_.replica_reads++;
     }
     const TxnOutcome outcome = app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kCommitted;
     EraseState(txn);
@@ -469,9 +345,7 @@ void XenicNode::LocalWritePath(StatePtr st) {
         if (st == nullptr || crashed_) {
           return;
         }
-        uint8_t contention = 0;
-        if (!LockAll(st->id, st->write_keys, &contention)) {
-          st->contention_hint = std::max(st->contention_hint, contention);
+        if (!LockAll(st->id, st->write_keys)) {
           st->abort_reason = AbortReason::kLockLocal;
           AbortCleanup(st, TxnOutcome::kAborted);
           return;
@@ -489,8 +363,6 @@ void XenicNode::LocalWritePath(StatePtr st) {
           if (cur != st->reads[i].seq || (owner != store::kNoTxn && owner != st->id)) {
             ok = false;
             sketch_.RecordConflict(st->read_keys[i], now);
-            st->contention_hint =
-                std::max(st->contention_hint, sketch_.Level(st->read_keys[i], now));
           }
         }
         for (size_t i = 0; i < st->write_keys.size() && ok; ++i) {
@@ -498,8 +370,6 @@ void XenicNode::LocalWritePath(StatePtr st) {
           if ((m ? m->seq : 0) != st->write_seqs[i]) {
             ok = false;
             sketch_.RecordConflict(st->write_keys[i], now);
-            st->contention_hint =
-                std::max(st->contention_hint, sketch_.Level(st->write_keys[i], now));
           }
         }
         ChargeDmaReads(agg, [this, id2, ok] {
@@ -585,10 +455,8 @@ void XenicNode::HotKeyAcquire(TxnId txn) {
       keys.push_back(k);
     }
   }
-  uint8_t contention = 0;
   KeyRef conflict;
-  if (!LockAll(txn, keys, &contention, &conflict)) {
-    st->contention_hint = std::max(st->contention_hint, contention);
+  if (!LockAll(txn, keys, &conflict)) {
     if (conflict == st->hot_key && st->hot_waits < kHotMaxWaits) {
       HotKeyPark(st);
       return;
@@ -706,9 +574,7 @@ void XenicNode::HotKeyExecute(TxnState* st) {
       st->write_seqs.push_back(0);
       st->writes.emplace_back();
     }
-    uint8_t contention = 0;
-    if (!new_keys.empty() && !LockAll(txn, new_keys, &contention)) {
-      st->contention_hint = std::max(st->contention_hint, contention);
+    if (!new_keys.empty() && !LockAll(txn, new_keys)) {
       if (st->abort_reason == AbortReason::kNone) {
         st->abort_reason = AbortReason::kLockLocal;
       }
@@ -814,10 +680,8 @@ void XenicNode::CcLocalAcquire(TxnId txn, uint32_t parks) {
       keys.push_back(k);
     }
   }
-  uint8_t contention = 0;
   KeyRef conflict;
-  if (!LockAll(txn, keys, &contention, &conflict)) {
-    st->contention_hint = std::max(st->contention_hint, contention);
+  if (!LockAll(txn, keys, &conflict)) {
     if (CcHandleConflict(txn, conflict, parks,
                          [this, txn, parks] { CcLocalAcquire(txn, parks + 1); })) {
       return;  // parked (zero locks held) until release, timeout, or wound
@@ -1028,7 +892,7 @@ void XenicNode::ExecutePhase(TxnState* st) {
                                           lock_keys = std::move(lock_keys)]() mutable {
                                            OnExecuteResp(txn, shard, r.ok, std::move(r.reads),
                                                          std::move(r.write_seqs),
-                                                         std::move(lock_keys), r.contention);
+                                                         std::move(lock_keys));
                                          },
                                          txn);
               });
@@ -1040,7 +904,7 @@ void XenicNode::ExecutePhase(TxnState* st) {
 void XenicNode::OnExecuteResp(TxnId id, NodeId shard, bool ok,
                               std::vector<std::pair<uint32_t, ReadResult>> reads,
                               std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                              std::vector<KeyRef> locked_keys, uint8_t contention) {
+                              std::vector<KeyRef> locked_keys) {
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
     // Raced with an abort (or this coordinator failed). If the server
@@ -1067,7 +931,6 @@ void XenicNode::OnExecuteResp(TxnId id, NodeId shard, bool ok,
     }
   } else {
     st->abort = true;
-    st->contention_hint = std::max(st->contention_hint, contention);
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockExecute;
     }
@@ -1160,7 +1023,7 @@ void XenicNode::LockRound(TxnState* st) {
                                      [this, txn, shard, r = std::move(r),
                                       lock_keys = std::move(lock_keys)]() mutable {
                                        OnLockResp(txn, shard, r.ok, std::move(r.write_seqs),
-                                                  std::move(lock_keys), r.contention);
+                                                  std::move(lock_keys));
                                      },
                                      txn);
                                });
@@ -1171,7 +1034,7 @@ void XenicNode::LockRound(TxnState* st) {
 
 void XenicNode::OnLockResp(TxnId id, NodeId shard, bool ok,
                            std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                           std::vector<KeyRef> locked_keys, uint8_t contention) {
+                           std::vector<KeyRef> locked_keys) {
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
     if (st == nullptr && !crashed_ && ok) {
@@ -1189,7 +1052,6 @@ void XenicNode::OnLockResp(TxnId id, NodeId shard, bool ok,
     }
   } else {
     st->abort = true;
-    st->contention_hint = std::max(st->contention_hint, contention);
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockExecute;
     }
@@ -1376,23 +1238,22 @@ void XenicNode::ValidatePhase(TxnState* st) {
     transport_.Send(
         net::MsgType::kValidate, s.primary, bytes,
         [this, server, txn, checks = std::move(s.checks)]() mutable {
-          server->ServeValidate(std::move(checks), [this, server, txn](bool ok, uint8_t c) {
+          server->ServeValidate(std::move(checks), [this, server, txn](bool ok) {
             server->transport().SendAck(net::MsgType::kValidate, id(),
-                                        [this, txn, ok, c] { OnValidateResp(txn, ok, c); }, txn);
+                                        [this, txn, ok] { OnValidateResp(txn, ok); }, txn);
           });
         },
         txn);
   }
 }
 
-void XenicNode::OnValidateResp(TxnId id, bool ok, uint8_t contention) {
+void XenicNode::OnValidateResp(TxnId id, bool ok) {
   TxnState* st = FindState(id);
   if (st == nullptr || crashed_) {
     return;
   }
   if (!ok) {
     st->abort = true;
-    st->contention_hint = std::max(st->contention_hint, contention);
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kValidate;
     }
@@ -1759,19 +1620,18 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   }
   auto done = std::move(st->done);
   st->done = nullptr;
-  const TxnResult result(outcome, st->contention_hint);
   const sim::Tick finish_cost = st->req.host_finish_cost;
   auto host_finish = st->req.host_finish;
   nic_->NicToHost(net::wire::Descriptor(), [this, finish_cost, host_finish = std::move(host_finish),
-                                     done = std::move(done), result]() mutable {
+                                     done = std::move(done), outcome]() mutable {
     // The commit point was the log acks; the application learns the
     // outcome now. Post-commit local work (B+tree maintenance etc.) is
     // deferred host work off the latency path, serialized behind this
     // completion on the host thread pool.
-    nic_->HostCompute(kHostFinishBase, [done = std::move(done), result]() mutable {
-      done(result);
+    nic_->HostCompute(kHostFinishBase, [done = std::move(done), outcome]() mutable {
+      done(outcome);
     });
-    if (host_finish && result.outcome == TxnOutcome::kCommitted) {
+    if (host_finish && outcome == TxnOutcome::kCommitted) {
       nic_->HostCompute(finish_cost,
                         [host_finish = std::move(host_finish)]() mutable { host_finish(); });
     }
@@ -1862,9 +1722,7 @@ void XenicNode::ShippedPath(TxnState* st, NodeId remote) {
   }
 
   st->lock_all = true;
-  uint8_t contention = 0;
-  if (!LockAll(txn, local_keys, &contention)) {
-    st->contention_hint = std::max(st->contention_hint, contention);
+  if (!LockAll(txn, local_keys)) {
     st->abort_reason = AbortReason::kLockShip;
     AbortCleanup(st, TxnOutcome::kAborted);
     return;
@@ -1985,9 +1843,8 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
       if (parks > 0 && coordinator->crashed()) {
         return;
       }
-      uint8_t contention = 0;
       KeyRef conflict{};
-      if (!LockAll(txn, *my_keys_ptr, &contention, &conflict)) {
+      if (!LockAll(txn, *my_keys_ptr, &conflict)) {
         const sim::Tick now = nic_->engine()->now();
         if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
             sketch_.IsHot(conflict, now) &&
@@ -1998,8 +1855,7 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
         }
         transport_.SendAck(
             net::MsgType::kShipExec, coord,
-            [coordinator, txn, contention] { coordinator->OnShipFailure(txn, contention); },
-            txn);
+            [coordinator, txn] { coordinator->OnShipFailure(txn); }, txn);
         return;
       }
 
@@ -2104,12 +1960,11 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
   });
 }
 
-void XenicNode::OnShipFailure(TxnId txn, uint8_t contention) {
+void XenicNode::OnShipFailure(TxnId txn) {
   TxnState* st = FindState(txn);
   if (st == nullptr || crashed_) {
     return;
   }
-  st->contention_hint = std::max(st->contention_hint, contention);
   const TxnOutcome outcome = st->app_abort ? TxnOutcome::kAppAborted : TxnOutcome::kAborted;
   if (outcome == TxnOutcome::kAborted && st->abort_reason == AbortReason::kNone) {
     st->abort_reason = AbortReason::kLockShip;
@@ -2121,15 +1976,10 @@ void XenicNode::OnShipFailure(TxnId txn, uint8_t contention) {
 // Server-side handlers.
 // ---------------------------------------------------------------------------
 
-bool XenicNode::LockAll(TxnId txn, const std::vector<KeyRef>& keys, uint8_t* contention,
-                        KeyRef* conflict) {
+bool XenicNode::LockAll(TxnId txn, const std::vector<KeyRef>& keys, KeyRef* conflict) {
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!ds_->index(keys[i].table).AcquireLock(keys[i].key, txn).ok()) {
-      const sim::Tick now = nic_->engine()->now();
-      sketch_.RecordConflict(keys[i], now);
-      if (contention != nullptr) {
-        *contention = std::max(*contention, sketch_.Level(keys[i], now));
-      }
+      sketch_.RecordConflict(keys[i], nic_->engine()->now());
       if (conflict != nullptr) {
         *conflict = keys[i];
       }
@@ -2485,9 +2335,8 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
                             (*peers_)[coord]->FindState(txn) == nullptr)) {
             return;
           }
-          uint8_t lock_contention = 0;
           KeyRef conflict{};
-          if (!LockAll(txn, *lock_keys_ptr, &lock_contention, &conflict)) {
+          if (!LockAll(txn, *lock_keys_ptr, &conflict)) {
             const sim::Tick now = nic_->engine()->now();
             if (Cc2pl()) {
               // WAIT_DIE / WOUND_WAIT may park (and wound) instead of
@@ -2497,7 +2346,7 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
                                    [self, parks] { self(self, parks + 1); })) {
                 return;
               }
-              (*reply_ptr)(ExecReply{false, {}, {}, lock_contention});
+              (*reply_ptr)(ExecReply{false, {}, {}});
               return;
             }
             if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
@@ -2510,7 +2359,7 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
               // would.
               return;
             }
-            (*reply_ptr)(ExecReply{false, {}, {}, lock_contention});
+            (*reply_ptr)(ExecReply{false, {}, {}});
             return;
           }
 
@@ -2524,7 +2373,7 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
           auto finish = [this, txn, state, writes_ptr, lock_keys_ptr, reply_ptr]() {
             if (!state->ok) {
               UnlockAll(txn, *lock_keys_ptr);
-              (*reply_ptr)(ExecReply{false, {}, {}, state->contention});
+              (*reply_ptr)(ExecReply{false, {}, {}});
               return;
             }
             // Current versions for the write set (from NIC metadata; absent
@@ -2553,10 +2402,7 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
                                                                    TxnId owner) mutable {
                          if (owner != store::kNoTxn && owner != txn) {
                            state->ok = false;
-                           const sim::Tick now = nic_->engine()->now();
-                           sketch_.RecordConflict(key, now);
-                           state->contention =
-                               std::max(state->contention, sketch_.Level(key, now));
+                           sketch_.RecordConflict(key, nic_->engine()->now());
                          } else {
                            state->reads.emplace_back(read_idx, std::move(r));
                          }
@@ -2570,7 +2416,7 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
 }
 
 void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
-                              std::function<void(bool, uint8_t)> reply) {
+                              std::function<void(bool)> reply) {
   if (crashed_) {
     return;
   }
@@ -2583,7 +2429,6 @@ void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
       return;
     }
     bool ok = true;
-    uint8_t contention = 0;
     store::NicIndex::LookupStats agg;
     const sim::Tick now = nic_->engine()->now();
     for (const auto& [k, expected] : checks) {
@@ -2593,12 +2438,9 @@ void XenicNode::ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
       if (cur != expected || owner != store::kNoTxn) {
         ok = false;
         sketch_.RecordConflict(k, now);
-        contention = std::max(contention, sketch_.Level(k, now));
       }
     }
-    ChargeDmaReads(agg, [ok, contention, reply = std::move(reply)]() mutable {
-      reply(ok, contention);
-    });
+    ChargeDmaReads(agg, [ok, reply = std::move(reply)]() mutable { reply(ok); });
   });
 }
 

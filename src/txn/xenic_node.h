@@ -187,7 +187,6 @@ class XenicNode {
     std::vector<NodeId> log_shards;
     std::map<NodeId, uint32_t> log_needed;
     bool logs_sent = false;             // LOG fan-out happened
-    uint8_t contention_hint = 0;        // max sketch level across conflicts
     AbortReason abort_reason = AbortReason::kNone;  // first abort cause wins
     // 2PL (CcPolicyKind != kOcc): read-set keys are locked at EVERY shard
     // that acknowledged EXECUTE, so commit/abort must release them there
@@ -212,14 +211,6 @@ class XenicNode {
   // ---- Coordinator-side phases.
   void SubmitOnHost(StatePtr st);
   void LocalReadOnlyPath(StatePtr st);
-  // Replica read (features.replica_reads): a single-shard read-only
-  // transaction whose shard this node backs is served from the local
-  // NIC-applied backup tables iff the freshness fence holds at serve time
-  // (membership unchanged since submit AND the local log is fully drained,
-  // so the tables are a stable prefix of the shard's commit order);
-  // otherwise it escalates to the normal distributed path.
-  bool ReplicaReadEligible(const TxnState& st, NodeId* shard_out) const;
-  void ReplicaReadPath(StatePtr st, NodeId shard);
   void LocalWritePath(StatePtr st);
   void CoordStartOnNic(TxnId id);
   // A local fast-path execution discovered remote keys: restart the
@@ -231,7 +222,7 @@ class XenicNode {
   void OnExecuteResp(TxnId id, NodeId shard, bool ok,
                      std::vector<std::pair<uint32_t, ReadResult>> reads,
                      std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                     std::vector<KeyRef> locked_keys, uint8_t contention);
+                     std::vector<KeyRef> locked_keys);
   void AfterExecuteRound(TxnState* st);
   // Separate lock round used when smart_remote_ops is disabled (the
   // one-op-per-request ablation baseline): one LOCK request per write key,
@@ -239,7 +230,7 @@ class XenicNode {
   void LockRound(TxnState* st);
   void OnLockResp(TxnId id, NodeId shard, bool ok,
                   std::vector<std::pair<uint32_t, Seq>> write_seqs,
-                  std::vector<KeyRef> locked_keys, uint8_t contention);
+                  std::vector<KeyRef> locked_keys);
   // A lock grant arrived for a transaction that no longer exists (the epoch
   // sweep resolved it while the response was in flight): release the
   // orphaned locks at their shard.
@@ -249,10 +240,10 @@ class XenicNode {
   bool CheckReadWriteGap(TxnState* st);
   void RunExecuteLogic(TxnState* st, sim::Engine::Callback next);
   void ValidatePhase(TxnState* st);
-  void OnValidateResp(TxnId id, bool ok, uint8_t contention);
+  void OnValidateResp(TxnId id, bool ok);
   void LogPhase(TxnState* st);
   void OnLogAck(TxnId id, bool ok, NodeId from);
-  void OnShipFailure(TxnId id, uint8_t contention = 0);
+  void OnShipFailure(TxnId id);
   void CommitPhase(TxnState* st);
   void ReportAndFinish(TxnState* st, TxnOutcome outcome);
   void AbortCleanup(TxnState* st, TxnOutcome outcome);
@@ -269,13 +260,12 @@ class XenicNode {
     bool ok = false;
     std::vector<std::pair<uint32_t, ReadResult>> reads;
     std::vector<std::pair<uint32_t, Seq>> write_seqs;
-    uint8_t contention = 0;  // sketch level of the conflicting key on !ok
   };
   void ServeExecute(TxnId txn, NodeId coord, std::vector<std::pair<uint32_t, KeyRef>> reads,
                     std::vector<std::pair<uint32_t, KeyRef>> writes,
                     std::function<void(ExecReply)> reply);
   void ServeValidate(std::vector<std::pair<KeyRef, Seq>> checks,
-                     std::function<void(bool, uint8_t)> reply);
+                     std::function<void(bool)> reply);
   void ServeLog(store::LogRecord record, std::function<void(bool)> reply);
   // Commit-point notification (features.nic_log_apply): stabilizes the
   // transaction's LOG records so the NIC applier may apply and reclaim
@@ -288,10 +278,8 @@ class XenicNode {
 
   // Lock all given keys in the NIC index; on conflict release those taken
   // and return false. A conflict is recorded in the hot-key sketch; when
-  // `contention`/`conflict` are given they receive the sketch level and the
-  // identity of the first key that was denied.
-  bool LockAll(TxnId txn, const std::vector<KeyRef>& keys, uint8_t* contention = nullptr,
-               KeyRef* conflict = nullptr);
+  // `conflict` is given it receives the first key that was denied.
+  bool LockAll(TxnId txn, const std::vector<KeyRef>& keys, KeyRef* conflict = nullptr);
   void UnlockAll(TxnId txn, const std::vector<KeyRef>& keys);
   // Single release point for every node-path unlock: drops the lock, then
   // wakes the head of the key's hot-waiter queue (if any).
@@ -406,7 +394,7 @@ class XenicNode {
   std::unordered_set<TxnId> reported_committed_;
   uint64_t next_txn_seq_ = 1;
   TxnStats stats_;
-  // Per-shard conflict sketch feeding contention hints and hot-key routing.
+  // Per-shard conflict sketch feeding hot-key routing.
   HotKeySketch sketch_;
   // Per-hot-key FIFO of parked transactions (ids only; zero locks held).
   std::unordered_map<KeyRef, std::deque<TxnId>, KeyRefHash> hot_waiters_;

@@ -125,10 +125,10 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   obs.Register(flags);
   harness::AddSeedFlag(flags, &seed, "seed");
   harness::AddSystemFlag(flags, &cfg);
-  Parse(flags, {"--retry-policy", "cwnd", "--backoff-base=2", "--hot-key-path", "--cc",
+  Parse(flags, {"--retry-policy", "expjitter", "--backoff-base=2", "--hot-key-path", "--cc",
                 "waitdie", "--slo", "p99<50us", "--seed=9", "--system", "drtmh-nc"});
   ASSERT_TRUE(contention.retry_policy.has_value());
-  EXPECT_EQ(*contention.retry_policy, txn::RetryPolicyKind::kContentionWindow);
+  EXPECT_EQ(*contention.retry_policy, txn::RetryPolicyKind::kExpJitter);
   EXPECT_FALSE(obs.slo.empty());
   EXPECT_EQ(seed, 9u);
   EXPECT_EQ(cfg.kind, harness::SystemConfig::Kind::kBaseline);
@@ -140,7 +140,7 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   harness::SystemConfig xenic;
   harness::ApplyContentionOptions(contention, &retry, &xenic);
   harness::ApplyContentionOptions(contention, nullptr, &cfg);
-  EXPECT_EQ(retry.kind, txn::RetryPolicyKind::kContentionWindow);
+  EXPECT_EQ(retry.kind, txn::RetryPolicyKind::kExpJitter);
   EXPECT_EQ(retry.backoff_base, 2 * sim::kNsPerUs);
   EXPECT_TRUE(xenic.features.hot_key_fastpath);
   EXPECT_EQ(xenic.features.cc, txn::CcPolicyKind::kWaitDie);
@@ -151,6 +151,11 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   EXPECT_EXIT(Parse(flags, {"--slo", "p99<50parsecs"}), ::testing::ExitedWithCode(2),
               "--slo expects SPEC");
   EXPECT_EXIT(Parse(flags, {"--seed", "abc"}), ::testing::ExitedWithCode(2), "--seed expects");
+  // Removed spellings: the contention-window policy and adaptive DMA batching.
+  EXPECT_EXIT(Parse(flags, {"--retry-policy", "cwnd"}), ::testing::ExitedWithCode(2),
+              "--retry-policy expects one of uniform\\|expjitter, got 'cwnd'");
+  EXPECT_EXIT(Parse(flags, {"--adaptive-dma"}), ::testing::ExitedWithCode(2),
+              "unknown flag --adaptive-dma");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Hot-key sketch: promotion at the conflict threshold, hysteresis between
 // promote and demote, lossy-counting eviction (uniform conflict spray can
-// never fake a hot key), deterministic lazy decay, and the 0..255 pressure
-// level the contention-window retry policy consumes.
+// never fake a hot key), and deterministic lazy decay.
 
 #include <gtest/gtest.h>
 
@@ -70,35 +69,22 @@ TEST(HotKeySketchTest, HotKeySurvivesSprayEviction) {
   EXPECT_TRUE(sketch.IsHot(kKey, 0));
 }
 
-TEST(HotKeySketchTest, LevelScalesWithCount) {
-  HotKeySketch sketch(SmallOptions());
-  EXPECT_EQ(sketch.Level(kKey, 0), 0u);  // untracked
-  for (int i = 0; i < 3; ++i) {
-    sketch.RecordConflict(kKey, 0);
-  }
-  EXPECT_EQ(sketch.Level(kKey, 0), 64u);  // half the threshold -> 64
-  for (int i = 0; i < 3; ++i) {
-    sketch.RecordConflict(kKey, 0);
-  }
-  EXPECT_EQ(sketch.Level(kKey, 0), 128u);  // exactly at threshold -> 128
-  for (int i = 0; i < 100; ++i) {
-    sketch.RecordConflict(kKey, 0);
-  }
-  EXPECT_EQ(sketch.Level(kKey, 0), 255u);  // saturates
-}
-
 TEST(HotKeySketchTest, DecayIsLazyAndDeterministic) {
   HotKeySketch a(SmallOptions());
   HotKeySketch b(SmallOptions());
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 12; ++i) {
     a.RecordConflict(kKey, 0);
     b.RecordConflict(kKey, 0);
   }
-  // One query at t=300us must equal three queries at 100/200/300us: decay
+  // One query at t=200us must equal queries at 100us and 200us: decay
   // depends only on elapsed sim time, not on how often anyone looked.
-  (void)b.Level(kKey, 100 * kUs);
-  (void)b.Level(kKey, 200 * kUs);
-  EXPECT_EQ(a.Level(kKey, 300 * kUs), b.Level(kKey, 300 * kUs));
+  // 12 halves to 3 over two intervals: still above the demote floor.
+  ASSERT_TRUE(b.IsHot(kKey, 100 * kUs));
+  ASSERT_TRUE(b.IsHot(kKey, 200 * kUs));
+  EXPECT_TRUE(a.IsHot(kKey, 200 * kUs));
+  // A third halving (to 1) demotes the key in both.
+  EXPECT_FALSE(a.IsHot(kKey, 300 * kUs));
+  EXPECT_FALSE(b.IsHot(kKey, 300 * kUs));
 }
 
 TEST(HotKeySketchTest, LongIdleGapZeroesSlots) {
@@ -109,7 +95,6 @@ TEST(HotKeySketchTest, LongIdleGapZeroesSlots) {
   ASSERT_TRUE(sketch.IsHot(kKey, 0));
   // 100 intervals (and in particular >= 64, the shift clamp) fully clears.
   EXPECT_FALSE(sketch.IsHot(kKey, 10000 * kUs));
-  EXPECT_EQ(sketch.Level(kKey, 10000 * kUs), 0u);
   EXPECT_EQ(sketch.HotCount(10000 * kUs), 0u);
 }
 

@@ -1,9 +1,9 @@
 // Replication-subsystem tests: quorum accounting (ReplicationGroup), the
 // crash-guard boundary at exactly-quorum survivors, roll-forward/discard
 // conformance under configured quorums at replication 3 and 5, the NIC log
-// applier's continuous backup apply, fenced replica reads, and planned
-// lease handoff (routing flip without crash, chain rewrite, and
-// byte-determinism of a handoff chaos run across engine-job counts).
+// applier's continuous backup apply, and planned lease handoff (routing
+// flip without crash, chain rewrite, and byte-determinism of a handoff
+// chaos run).
 
 #include <gtest/gtest.h>
 
@@ -123,20 +123,6 @@ TEST(ReplicationGroupTest, CrashAllowedAtExactlyQuorumSurvivors) {
   EXPECT_FALSE(d.repl().CrashAllowed(3));
 }
 
-TEST(ReplicationGroupTest, IsBackupOfWalksChainAndSkipsFailed) {
-  HashPartitioner part(6);
-  XenicCluster c(Opts(6, 3), &part);
-  const ReplicationGroup& rg = c.repl();
-  const auto backups = rg.BackupsOf(2);
-  ASSERT_EQ(backups.size(), 2u);
-  for (store::NodeId b : backups) {
-    EXPECT_TRUE(rg.IsBackupOf(b, 2));
-  }
-  EXPECT_FALSE(rg.IsBackupOf(2, 2));
-  c.mutable_map().MarkFailed(backups[0]);
-  EXPECT_FALSE(rg.IsBackupOf(backups[0], 2));
-}
-
 // --------------------------------------- roll-forward/discard conformance --
 
 store::LogRecord LogRec(store::TxnId txn, store::Key key, int64_t v) {
@@ -225,62 +211,6 @@ TEST(NicLogApplierTest, ContinuouslyAppliesBackupState) {
   auto r = c.datastore(backup).table(kBank).Lookup(b);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(GetI64(r->value, 0), 130);
-}
-
-// ------------------------------------------------------- replica reads --
-
-TEST(ReplicaReadTest, BackupServesFencedReadLocally) {
-  XenicClusterOptions o = Opts(3, 2);
-  o.features.nic_log_apply = true;
-  o.features.replica_reads = true;
-  HashPartitioner part(3);
-  XenicCluster c(o, &part);
-  const store::Key key = KeyOn(c, 1);
-  c.LoadReplicated(kBank, key, Balance(100));
-  c.StartWorkers();
-
-  const store::NodeId backup = c.repl().BackupsOf(1)[0];
-  ASSERT_NE(backup, 1u);
-  int64_t got = 0;
-  TxnRequest req;
-  req.reads = {{kBank, key}};
-  req.execute = [&got](ExecRound& er) { got = GetI64((*er.reads)[0].value, 0); };
-  bool done = false;
-  c.node(backup).Submit(std::move(req), [&](TxnOutcome oc) {
-    EXPECT_EQ(oc, TxnOutcome::kCommitted);
-    done = true;
-  });
-  RunToDone(c, &done);
-
-  EXPECT_EQ(got, 100);
-  EXPECT_EQ(c.TotalStats().replica_reads, 1u);
-}
-
-TEST(ReplicaReadTest, NonBackupTakesDistributedPath) {
-  XenicClusterOptions o = Opts(4, 2);
-  o.features.nic_log_apply = true;
-  o.features.replica_reads = true;
-  HashPartitioner part(4);
-  XenicCluster c(o, &part);
-  const store::Key key = KeyOn(c, 1);
-  c.LoadReplicated(kBank, key, Balance(100));
-  c.StartWorkers();
-
-  // Node 3 is not in shard 1's backup chain (replication 2 -> backup is
-  // node 2 only): the read must go distributed and still commit.
-  ASSERT_FALSE(c.repl().IsBackupOf(3, 1));
-  int64_t got = 0;
-  TxnRequest req;
-  req.reads = {{kBank, key}};
-  req.execute = [&got](ExecRound& er) { got = GetI64((*er.reads)[0].value, 0); };
-  bool done = false;
-  c.node(3).Submit(std::move(req), [&](TxnOutcome oc) {
-    EXPECT_EQ(oc, TxnOutcome::kCommitted);
-    done = true;
-  });
-  RunToDone(c, &done);
-  EXPECT_EQ(got, 100);
-  EXPECT_EQ(c.TotalStats().replica_reads, 0u);
 }
 
 // ---------------------------------------------------- planned failover --

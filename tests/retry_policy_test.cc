@@ -1,8 +1,8 @@
 // Retry-policy behavior: the uniform policy reproduces the historical
 // harness backoff byte-for-byte, every policy is deterministic and bounded,
-// the contention window actually widens under pressure, and a full
-// RunWorkload stays bit-deterministic (and tracing-invariant) under every
-// policy -- the contract tools/check_determinism.sh enforces end to end.
+// and a full RunWorkload stays bit-deterministic (and tracing-invariant)
+// under every policy -- the contract tools/check_determinism.sh enforces
+// end to end.
 
 #include <gtest/gtest.h>
 
@@ -23,21 +23,18 @@ TEST(RetryPolicyTest, UniformMatchesHistoricalFormula) {
   for (uint32_t tries = 0; tries < 64; ++tries) {
     const sim::Tick expect =
         cfg.backoff_base + formula_rng.NextBounded(cfg.backoff_base + 1);
-    EXPECT_EQ(RetryBackoff(cfg, tries, /*contention=*/tries % 7, policy_rng), expect)
+    EXPECT_EQ(RetryBackoff(cfg, tries, policy_rng), expect)
         << "uniform draw " << tries << " diverged from the historical formula";
   }
 }
 
 TEST(RetryPolicyTest, EveryPolicyDeterministicForSeed) {
-  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter,
-                    RetryPolicyKind::kContentionWindow}) {
+  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
     RetryPolicyConfig cfg;
     cfg.kind = kind;
     Rng a(7), b(7);
     for (uint32_t tries = 0; tries < 200; ++tries) {
-      const uint8_t contention = static_cast<uint8_t>(tries * 37);
-      EXPECT_EQ(RetryBackoff(cfg, tries, contention, a),
-                RetryBackoff(cfg, tries, contention, b));
+      EXPECT_EQ(RetryBackoff(cfg, tries, a), RetryBackoff(cfg, tries, b));
     }
   }
 }
@@ -47,11 +44,10 @@ TEST(RetryPolicyTest, BackoffBoundedAndPositive) {
   cfg.backoff_base = 4 * sim::kNsPerUs;
   cfg.backoff_cap = 64 * sim::kNsPerUs;
   Rng rng(13);
-  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter,
-                    RetryPolicyKind::kContentionWindow}) {
+  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
     cfg.kind = kind;
     for (uint32_t tries = 0; tries < 300; ++tries) {
-      const sim::Tick b = RetryBackoff(cfg, tries, 255, rng);
+      const sim::Tick b = RetryBackoff(cfg, tries, rng);
       EXPECT_GE(b, 1u);
       if (kind != RetryPolicyKind::kUniform) {
         EXPECT_LE(b, cfg.backoff_cap) << RetryPolicyName(kind) << " exceeded its cap";
@@ -61,39 +57,18 @@ TEST(RetryPolicyTest, BackoffBoundedAndPositive) {
   // Degenerate config: base 0 must still return a strictly positive wait.
   cfg.kind = RetryPolicyKind::kExpJitter;
   cfg.backoff_base = 0;
-  EXPECT_GE(RetryBackoff(cfg, 0, 0, rng), 1u);
-}
-
-TEST(RetryPolicyTest, ContentionWindowWidensWithPressure) {
-  RetryPolicyConfig cfg;
-  cfg.kind = RetryPolicyKind::kContentionWindow;
-  cfg.backoff_base = 4 * sim::kNsPerUs;
-  cfg.backoff_cap = 1000 * sim::kNsPerUs;
-  // Full jitter over the contention-scaled window: compare mean draws.
-  auto mean_of = [&](uint8_t contention, uint32_t tries) {
-    Rng rng(1);
-    double sum = 0;
-    for (int i = 0; i < 2000; ++i) {
-      sum += static_cast<double>(RetryBackoff(cfg, tries, contention, rng));
-    }
-    return sum / 2000;
-  };
-  EXPECT_GT(mean_of(128, 0), mean_of(0, 0) * 1.5);
-  EXPECT_GT(mean_of(255, 3), mean_of(255, 0) * 1.5);
-  // Uncontended aborts retry FASTER than the uniform baseline on average
-  // (uniform's mean is 1.5 * base; an unscaled window's is ~base / 2).
-  EXPECT_LT(mean_of(0, 0), 1.5 * static_cast<double>(cfg.backoff_base));
+  EXPECT_GE(RetryBackoff(cfg, 0, rng), 1u);
 }
 
 TEST(RetryPolicyTest, ParseNamesRoundTrip) {
   RetryPolicyKind kind = RetryPolicyKind::kUniform;
-  for (auto expect : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter,
-                      RetryPolicyKind::kContentionWindow}) {
+  for (auto expect : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
     ASSERT_TRUE(ParseRetryPolicy(RetryPolicyName(expect), &kind));
     EXPECT_EQ(kind, expect);
   }
   kind = RetryPolicyKind::kExpJitter;
   EXPECT_FALSE(ParseRetryPolicy("fibonacci", &kind));
+  EXPECT_FALSE(ParseRetryPolicy("cwnd", &kind));  // removed policy
   EXPECT_EQ(kind, RetryPolicyKind::kExpJitter);  // untouched on failure
 }
 
@@ -125,8 +100,7 @@ harness::RunConfig ShortRun(RetryPolicyKind kind) {
 }
 
 TEST(RetryPolicyTest, RunWorkloadDeterministicPerPolicy) {
-  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter,
-                    RetryPolicyKind::kContentionWindow}) {
+  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
     harness::RunResult runs[2];
     for (int i = 0; i < 2; ++i) {
       auto wl = SkewedWl();
@@ -142,7 +116,7 @@ TEST(RetryPolicyTest, RunWorkloadDeterministicPerPolicy) {
 }
 
 TEST(RetryPolicyTest, TracingCannotChangeResults) {
-  for (auto kind : {RetryPolicyKind::kExpJitter, RetryPolicyKind::kContentionWindow}) {
+  for (auto kind : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
     harness::RunResult plain, traced;
     {
       auto wl = SkewedWl();
@@ -172,7 +146,7 @@ TEST(RetryPolicyTest, HotPathEngagesUnderSkew) {
   cfg.features.hot_key_fastpath = true;
   auto sys = harness::BuildSystem(cfg, *wl);
   harness::LoadWorkload(*sys, *wl);
-  harness::RunConfig rc = ShortRun(RetryPolicyKind::kContentionWindow);
+  harness::RunConfig rc = ShortRun(RetryPolicyKind::kExpJitter);
   rc.measure = 500 * sim::kNsPerUs;
   const harness::RunResult r = harness::RunWorkload(*sys, *wl, rc);
   EXPECT_GT(r.committed, 0u);

@@ -6,9 +6,12 @@ Usage:
   bench_gate.py BASELINE.json CANDIDATE.json [--tolerance PCT] [--list]
   bench_gate.py --self-test FILE.json [FILE.json ...]
 
-Compare mode walks both JSON trees in parallel (dicts by key, lists by
-index) and gates every numeric leaf whose key classifies as a performance
-metric:
+Compare mode walks both JSON trees in parallel (dicts by key; lists of
+entries named by their string fields, such as {"config": "uniform", ...},
+by name, other lists by index) and gates every numeric leaf whose key
+classifies as a performance metric. A named entry present on one side only
+is reported as a STRUCTURE change, so a re-baseline that drops or adds
+configs names exactly those and still gates the rest:
 
   higher-better  throughput-like values (tput, goodput, committed,
                  speedup, events_per_sec): candidate may not drop more
@@ -86,6 +89,22 @@ def classify(key):
     return "ignore"
 
 
+def entry_name(item):
+    """A list entry's name: its string-valued fields, or None."""
+    if not isinstance(item, dict):
+        return None
+    name = ",".join(f"{k}={v}" for k, v in sorted(item.items()) if isinstance(v, str))
+    return name or None
+
+
+def by_name(items):
+    """{name: entry} when every entry has a distinct name, else None."""
+    names = [entry_name(x) for x in items]
+    if None in names or len(set(names)) != len(names):
+        return None
+    return dict(zip(names, items))
+
+
 def walk(base, cand, path, key, out):
     """Collect (path, key, base, cand) numeric leaf pairs into out."""
     if isinstance(base, dict):
@@ -99,6 +118,18 @@ def walk(base, cand, path, key, out):
             walk(base[k], cand[k], f"{path}.{k}", k, out)
         return
     if isinstance(base, list):
+        named_base = by_name(base)
+        named_cand = by_name(cand) if isinstance(cand, list) else None
+        if named_base is not None and named_cand is not None:
+            for name, b in named_base.items():
+                if name not in named_cand:
+                    out.append((f"{path}[{name}]", "__missing__", b, None))
+                    continue
+                walk(b, named_cand[name], f"{path}[{name}]", key, out)
+            for name, c in named_cand.items():
+                if name not in named_base:
+                    out.append((f"{path}[{name}]", "__structure__", None, c))
+            return
         if not isinstance(cand, list) or len(base) != len(cand):
             out.append((path, "__structure__", base, cand))
             return

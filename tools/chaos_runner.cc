@@ -14,7 +14,9 @@
 //   schedules, so their transcripts are separate from the per-seed goldens;
 //   YCSB has no money invariant, so its summary omits the money line.
 // - --retry-policy arms backoff between a submitter's transactions. It is
-//   off by default because arming draws extra Rng values.
+//   off by default because arming draws extra Rng values. Armed runs add
+//   backing_off= to the txns line: chains asleep in a backoff at run end,
+//   which the liveness audit does not count as wedged.
 // - --drop-type takes a net::MsgType name ("validate") or "<x>_reply" for
 //   the ACKs of <x>; matching messages are redelivered by link-layer
 //   retransmit. Xenic systems only.
@@ -89,8 +91,6 @@ int main(int argc, char** argv) {
              "crash detection (lease expiry) delay in microseconds (default 8)");
   flags.Switch("--nic-log-apply", &base.system.features.nic_log_apply,
                "apply backup logs on the NIC ARM cores");
-  flags.Switch("--replica-reads", &base.system.features.replica_reads,
-               "serve single-shard read-only transactions at backups (implies --nic-log-apply)");
   flags.Uint("--crashes", &base.faults.crashes, "node crashes (default 1)");
   flags.Uint("--storms", &base.faults.eviction_storms, "NIC-index eviction storms (default 2)");
   flags.Uint("--stalls", &base.faults.stall_windows,
@@ -128,9 +128,6 @@ int main(int argc, char** argv) {
 
   if (!seed_range) {
     seed_lo = seed_hi = seed;
-  }
-  if (base.system.features.replica_reads) {
-    base.system.features.nic_log_apply = true;  // replica reads need the applier
   }
   base.horizon = horizon_us * xenic::sim::kNsPerUs;
   base.faults.detection_delay = detect_us * xenic::sim::kNsPerUs;

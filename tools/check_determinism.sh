@@ -101,12 +101,11 @@ if [[ -n "$CHAOS_BIN" ]]; then
       fi
     done
   done
-  # Quorum-armed stack: sub-group quorum + NIC log applier + replica reads
-  # + a planned handoff, all at once. Same byte-identical contract, plus
+  # Quorum-armed stack: sub-group quorum + NIC log applier + a planned
+  # handoff, all at once. Same byte-identical contract, plus
   # the handoff must actually fire (the Summary line only appears when
   # handoffs are armed, and performed=0 would mean a silently dead path).
-  armed=(--seeds 1-2 --replicas 3 --quorum 2 --nic-log-apply --replica-reads
-         --crashes 1 --handoffs 1)
+  armed=(--seeds 1-2 --replicas 3 --quorum 2 --nic-log-apply --crashes 1 --handoffs 1)
   "$CHAOS_BIN" "${armed[@]}" --jobs 1 >"$serial" || true
   "$CHAOS_BIN" "${armed[@]}" --jobs 4 >"$parallel" || true
   if ! diff -u "$serial" "$parallel"; then
@@ -182,9 +181,9 @@ echo "determinism OK: --txn-attrib is observer-only ($waterfalls waterfalls emit
 # byte-identical (run-to-run determinism), (b) attaching --txn-attrib must
 # not move a single point-check scalar (observer-only tracing under
 # retries), and (c) the full sweep with every contention feature armed
-# (hot-key fast path + remote parking + adaptive DMA) must be byte-identical
-# for --jobs 1 vs --jobs 4.
-for policy in uniform expjitter cwnd; do
+# (hot-key fast path + remote parking) must be byte-identical for --jobs 1
+# vs --jobs 4.
+for policy in uniform expjitter; do
   policy_flags=(--retry-policy "$policy" --retry-cap 6)
 
   "$BIN" --point-check "${policy_flags[@]}" >"$serial" 2>/dev/null
@@ -200,7 +199,7 @@ for policy in uniform expjitter cwnd; do
     exit 1
   fi
 
-  armed_flags=("${policy_flags[@]}" --hot-key-path --adaptive-dma)
+  armed_flags=("${policy_flags[@]}" --hot-key-path)
   "$BIN" "${armed_flags[@]}" --jobs 1 >"$serial" 2>/dev/null
   "$BIN" "${armed_flags[@]}" --jobs 4 >"$parallel" 2>/dev/null
   if ! diff -u "$serial" "$parallel"; then
@@ -208,7 +207,7 @@ for policy in uniform expjitter cwnd; do
     exit 1
   fi
 done
-echo "determinism OK: retry-policy matrix (3 policies, plain/attrib/armed) is byte-identical"
+echo "determinism OK: retry-policy matrix (2 policies, plain/attrib/armed) is byte-identical"
 
 # --- Concurrency-control matrix: every policy obeys the full contract ---
 # For each CC policy (OCC and the 2PL trio) on the skewed YCSB workload:
@@ -284,13 +283,13 @@ echo "determinism OK: --metrics/--slo are observer-only (point-check + chaos)"
 
 # --- Armed chaos: every fault kind plus the contention features at once ---
 # Crashes with recovery, eviction storms, log stalls, wire drop/dup/delay,
-# cwnd retry backoff, the hot-key path and adaptive DMA in one schedule.
+# expjitter retry backoff and the hot-key path in one schedule.
 # Each seed runs twice, at --jobs 1 and --jobs 4, and the transcripts must
 # match byte for byte. (A one-seed run executes inline at any --jobs, so this
 # is a rerun check; the threaded path is covered by the --seeds 1-4 sections.)
 if [[ -n "$CHAOS_BIN" ]]; then
   armed_flags=(--crashes 1 --storms 2 --stalls 1 --drop 0.01 --dup 0.01 --delay 0.02
-               --retry-policy cwnd --hot-key-path --adaptive-dma)
+               --retry-policy expjitter --hot-key-path)
   for seed in 7 11 42; do
     "$CHAOS_BIN" --seed "$seed" "${armed_flags[@]}" --jobs 1 >"$serial" || true
     "$CHAOS_BIN" --seed "$seed" "${armed_flags[@]}" --jobs 4 >"$parallel" || true

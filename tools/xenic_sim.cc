@@ -67,12 +67,7 @@ Args Parse(int argc, char** argv) {
   a.contention.Register(flags, /*with_cc=*/false);
   flags.Switch("--nic-log-apply", &a.system.features.nic_log_apply,
                "apply backup logs on the NIC ARM cores");
-  flags.Switch("--replica-reads", &a.system.features.replica_reads,
-               "serve single-shard read-only transactions at backups (implies --nic-log-apply)");
   flags.Parse(argc, argv);
-  if (a.system.features.replica_reads) {
-    a.system.features.nic_log_apply = true;  // replica reads need the NIC applier
-  }
   a.system.num_nodes = a.nodes;
   if (!a.obs.slo.empty()) {
     a.obs.metrics = true;  // objectives are evaluated over the metric windows
