@@ -1,6 +1,5 @@
-// OCC vs the 2PL trio on YCSB across skew (DESIGN.md §13): the concurrency
-// control comparison the pluggable CcPolicy layer exists for. Every policy
-// runs the same Xenic cluster, the same YCSB instance, and the same seeded
+// OCC vs wound-wait 2PL on YCSB across skew (DESIGN.md §13). Both policies
+// run the same Xenic cluster, the same YCSB instance, and the same seeded
 // load sweep at three zipfian thetas:
 //
 //   theta 0.00   uniform -- conflicts are rare, the policies should tie
@@ -11,16 +10,15 @@
 // rerun the peak traced to attribute the p50->tail latency gap to a cost
 // bucket. The printed tables give peak throughput, abort rate, the
 // dominant abort reason (which differs structurally per policy: OCC aborts
-// at VALIDATE, NO_WAIT at EXECUTE locks, WOUND_WAIT by wounds), and the
-// fastest-growing tail bucket. BENCH_cc.json carries the same numbers for
-// EXPERIMENTS.md and regression tracking. --attrib / --txn-attrib /
-// --abort-breakdown attach the standard observability tables.
+// at VALIDATE, WOUND_WAIT by wounds), and the fastest-growing tail bucket.
+// BENCH_cc.json carries the same numbers for EXPERIMENTS.md and regression
+// tracking. --attrib / --txn-attrib / --abort-breakdown attach the standard
+// observability tables.
 
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/txn/cc_policy.h"
 #include "src/workload/ycsb.h"
 
 namespace {
@@ -30,8 +28,6 @@ using namespace xenic::bench;
 
 constexpr txn::CcPolicyKind kPolicies[] = {
     txn::CcPolicyKind::kOcc,
-    txn::CcPolicyKind::kNoWait,
-    txn::CcPolicyKind::kWaitDie,
     txn::CcPolicyKind::kWoundWait,
 };
 constexpr double kThetas[] = {0.0, 0.9, 0.99};

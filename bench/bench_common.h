@@ -17,7 +17,6 @@
 #include "src/common/table_printer.h"
 #include "src/harness/cli.h"
 #include "src/harness/runner.h"
-#include "src/txn/cc_policy.h"
 #include "src/harness/sweep.h"
 #include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"

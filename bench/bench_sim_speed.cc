@@ -146,8 +146,9 @@ double MeasureEventsPerSec(uint64_t* executed_out) {
 int main(int argc, char** argv) {
   using namespace xenic::bench;
 
-  (void)argc;
-  (void)argv;
+  Flags("Measure the event engine's dispatch rate against the seed engine's, time a small "
+        "Retwis run, and write BENCH_sim.json to the working directory.")
+      .Parse(argc, argv);
 
   // Interleave three trials of each engine and keep the best, which damps
   // scheduler noise on shared hosts.

@@ -42,8 +42,7 @@ void ContentionOptions::Register(Flags& flags, bool with_cc) {
     return;
   }
   std::vector<std::pair<std::string, txn::CcPolicyKind>> policies_cc;
-  for (auto k : {txn::CcPolicyKind::kOcc, txn::CcPolicyKind::kNoWait, txn::CcPolicyKind::kWaitDie,
-                 txn::CcPolicyKind::kWoundWait}) {
+  for (auto k : {txn::CcPolicyKind::kOcc, txn::CcPolicyKind::kWoundWait}) {
     policies_cc.emplace_back(txn::CcPolicyName(k), k);
   }
   flags.Choice("--cc", &cc, std::move(policies_cc),

@@ -12,8 +12,8 @@
 #include "src/common/flags.h"
 #include "src/harness/system_adapter.h"
 #include "src/obs/slo.h"
-#include "src/txn/cc_policy.h"
 #include "src/txn/retry_policy.h"
+#include "src/txn/types.h"
 
 namespace xenic::harness {
 

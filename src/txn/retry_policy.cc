@@ -23,17 +23,6 @@ sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, Rng& rng) {
   return base;  // unreachable
 }
 
-bool ParseRetryPolicy(const std::string& name, RetryPolicyKind* out) {
-  if (name == "uniform") {
-    *out = RetryPolicyKind::kUniform;
-  } else if (name == "expjitter") {
-    *out = RetryPolicyKind::kExpJitter;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* RetryPolicyName(RetryPolicyKind kind) {
   switch (kind) {
     case RetryPolicyKind::kUniform:

@@ -19,7 +19,6 @@
 #define SRC_TXN_RETRY_POLICY_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/sim/engine.h"
@@ -42,9 +41,7 @@ struct RetryPolicyConfig {
 // >= 1 tick.
 sim::Tick RetryBackoff(const RetryPolicyConfig& cfg, uint32_t tries, Rng& rng);
 
-// CLI names: "uniform" | "expjitter". Returns false on an unknown
-// name (out is untouched).
-bool ParseRetryPolicy(const std::string& name, RetryPolicyKind* out);
+// CLI name: "uniform" | "expjitter".
 const char* RetryPolicyName(RetryPolicyKind kind);
 
 }  // namespace xenic::txn

@@ -105,17 +105,42 @@ enum class AbortReason : uint8_t {
   kOther,        // anything else (log rejection, forced abort, ...)
 };
 
-// Concurrency-control policy for the Xenic engine (src/txn/cc_policy.h has
-// the behavior contract). kOcc is the paper's protocol and the default; the
-// 2PL trio locks reads at EXECUTE time and skips validation. Anything other
-// than kOcc changes event schedules, so -- like hot_key_fastpath -- the
-// non-default values are opt-in to keep goldens byte-identical.
+// Concurrency control of the Xenic engine. kOcc is the paper's protocol
+// and the default: write locks are taken inside the combined EXECUTE, reads
+// are optimistic, VALIDATE re-checks read versions, and a lock conflict
+// denies. kWoundWait is two-phase locking: EXECUTE locks the read set as
+// well as the write set, VALIDATE is skipped, and a lock conflict parks
+// the requester in the key's NIC wait queue, first wounding (aborting at
+// its coordinator) a younger holder. Waits-for edges therefore only point
+// from younger to older transactions, so no deadlock can form; a request
+// that has parked too often denies instead. kWoundWait changes event
+// schedules, so -- like hot_key_fastpath -- it is opt-in.
 enum class CcPolicyKind : uint8_t {
   kOcc = 0,
-  kNoWait,     // 2PL, abort on conflict (never parks)
-  kWaitDie,    // 2PL, older requester waits / younger dies
-  kWoundWait,  // 2PL, older requester wounds the holder / younger waits
+  kWoundWait,
 };
+
+// The --cc spelling of a policy.
+constexpr const char* CcPolicyName(CcPolicyKind kind) {
+  return kind == CcPolicyKind::kWoundWait ? "woundwait" : "occ";
+}
+
+// Total-order age of a transaction; smaller == older. MakeTxnId puts the
+// node in the high bits, so ids from different nodes do not compare by
+// submission order: re-key as (seq, node). Sequence-major approximates
+// global submission age (every node's closed-loop contexts advance their
+// sequence at commit rate) and the node id breaks ties. A retried
+// transaction draws a fresh, younger id.
+inline uint64_t CcPriority(TxnId id) {
+  const uint64_t seq = id & ((1ull << 40) - 1);
+  const auto node = static_cast<uint64_t>(store::TxnNode(id));
+  return (seq << 16) | (node & 0xffff);
+}
+
+// Wound-wait: an older requester wounds the lock holder; a younger one waits.
+inline bool WoundsHolder(TxnId requester, TxnId holder) {
+  return CcPriority(requester) < CcPriority(holder);
+}
 
 using CommitCallback = std::function<void(TxnOutcome)>;
 
@@ -141,8 +166,8 @@ struct XenicFeatures {
   // so the golden chaos transcript and all existing seeds stay identical.
   bool nic_log_apply = false;
   // Concurrency-control policy. kOcc (default) is the unmodified paper
-  // pipeline; any 2PL kind disables the shipped/hot-key routes, locks the
-  // read set at EXECUTE time, and skips VALIDATE (see cc_policy.h).
+  // pipeline; kWoundWait disables the shipped/hot-key routes, locks the
+  // read set at EXECUTE time, and skips VALIDATE (see CcPolicyKind).
   CcPolicyKind cc = CcPolicyKind::kOcc;
 };
 

@@ -17,29 +17,26 @@ constexpr sim::Tick kHostFinishBase = 80;
 constexpr sim::Tick kNicOpBase = 150;
 constexpr sim::Tick kNicKeyCost = 60;
 
-// Hot-key fast path: fallback wakeup for parked waiters (covers lock
+// Lock-wait queue: fallback wakeup for parked waiters (covers lock
 // releases that bypass the node's release paths, e.g. recovery sweeps) and
-// the cap on how often one transaction may re-park before falling back to
-// a normal abort-and-retry.
-constexpr sim::Tick kHotParkTimeout = 30 * sim::kNsPerUs;
-constexpr uint32_t kHotMaxWaits = 8;
-// Remote lock requests park far more conservatively than local hot-path
-// txns: every park delays a coordinator that may hold locks at OTHER
-// shards. One park per request bounds the cross-shard blocking chain to a
-// single timeout (then the deny resolves any distributed cycle), and a
-// shallow per-key queue cap keeps hot keys from building convoys -- a
-// deep FIFO serializes waiters across several lock generations, which
-// costs more in idle coordinator contexts than the saved retry work.
+// the cap on how often one request may re-park before it denies and falls
+// back to a normal abort-and-retry.
+constexpr sim::Tick kParkTimeout = 30 * sim::kNsPerUs;
+constexpr uint32_t kMaxParks = 8;
+// Under OCC, remote lock requests park far more conservatively than local
+// hot-route txns: every park delays a coordinator that may hold locks at
+// OTHER shards. One park per request bounds the cross-shard blocking chain
+// to a single timeout (then the deny resolves any distributed cycle), and
+// a shallow per-key cap on remote waiters keeps hot keys from building
+// convoys -- a deep FIFO serializes waiters across several lock
+// generations, which costs more in idle coordinator contexts than the
+// saved retry work.
 constexpr uint32_t kRemoteMaxParks = 1;
 constexpr size_t kRemoteQueueCap = 2;
-
-// 2PL wait queues (WAIT_DIE / WOUND_WAIT). Waiting is the policy's normal
-// conflict outcome -- not a hot-key optimization -- so the budget is wider
-// than the remote-park cap; the timeout still bounds every wait (releases
-// that bypass the node's release paths, e.g. recovery sweeps, would
-// otherwise strand a waiter), after which the request denies like NO_WAIT.
-constexpr sim::Tick kCcParkTimeout = 30 * sim::kNsPerUs;
-constexpr uint32_t kCcMaxParks = 8;
+// Wake ranks of OCC waiters: local-route transactions before remote
+// requests.
+constexpr uint64_t kLocalRank = 0;
+constexpr uint64_t kRemoteRank = 1;
 
 // Robinhood worker costs.
 constexpr sim::Tick kWorkerPollCost = 80;
@@ -142,13 +139,22 @@ void XenicNode::SubmitOnHost(StatePtr st) {
   }
   if (all_local) {
     if (Cc2pl()) {
-      // 2PL: no optimistic race -- lock the read+write set up front on the
-      // NIC and execute under locks (subsumes the hot-key route).
-      CcLocalPath(std::move(st));
+      // 2PL: no optimistic race -- every local write takes the NIC-locked
+      // route (subsumes the hot-key route).
+      stats_.local_fastpath++;
+      LockedLocalPath(std::move(st));
       return;
     }
-    if (features_->hot_key_fastpath && !st->write_keys.empty() && TryHotKeyRoute(st)) {
-      return;
+    if (features_->hot_key_fastpath) {
+      const sim::Tick now = nic_->engine()->now();
+      for (const auto& k : st->write_keys) {
+        if (sketch_.IsHot(k, now)) {
+          st->hot_key = k;
+          stats_.hot_path++;
+          LockedLocalPath(std::move(st));
+          return;
+        }
+      }
     }
     LocalWritePath(std::move(st));
     return;
@@ -390,31 +396,17 @@ void XenicNode::LocalWritePath(StatePtr st) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-key fast path (XenicFeatures::hot_key_fastpath, p4db-style is_hot
-// routing). All-local write transactions whose write set hits a
-// sketch-flagged hot key skip the optimistic host execution: the NIC locks
-// the full read+write set up front, executes under locks, and goes
-// straight to LOG/COMMIT -- no validation race, hence no redo. If the hot
-// key is held, the transaction parks in a per-key FIFO *holding zero
-// locks* (no hold-and-wait, so no deadlock) until the holder's release
-// wakes it.
+// NIC-locked local route: every all-local write under 2PL, and under OCC
+// (XenicFeatures::hot_key_fastpath, p4db-style is_hot routing) one whose
+// write set hits a sketch-flagged hot key. The transaction skips the
+// optimistic host execution: the NIC locks the full read+write set up
+// front, executes under locks, and goes straight to LOG/COMMIT -- no
+// validation race, hence no redo. On a lock conflict the transaction may
+// park in the key's wait queue *holding zero locks* (no hold-and-wait, so
+// no deadlock) until a release wakes it.
 // ---------------------------------------------------------------------------
 
-bool XenicNode::TryHotKeyRoute(StatePtr& st) {
-  const sim::Tick now = nic_->engine()->now();
-  const KeyRef* hot = nullptr;
-  for (const auto& k : st->write_keys) {
-    if (sketch_.IsHot(k, now)) {
-      hot = &k;
-      break;
-    }
-  }
-  if (hot == nullptr) {
-    return false;
-  }
-  st->hot_path = true;
-  st->hot_key = *hot;
-  stats_.hot_path++;
+void XenicNode::LockedLocalPath(StatePtr st) {
   TxnState* raw = st.get();
   const TxnId txn = raw->id;
   txns_[txn] = std::move(st);
@@ -423,46 +415,47 @@ bool XenicNode::TryHotKeyRoute(StatePtr& st) {
   const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
                                                   raw->req.external_bytes);
   nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] { HotKeyStart(txn); });
+    nic_->HostToNic(bytes, [this, txn] { LockedLocalStart(txn); });
   });
-  return true;
 }
 
-void XenicNode::HotKeyStart(TxnId txn) {
+void XenicNode::LockedLocalStart(TxnId txn) {
   TxnState* st = FindState(txn);
   if (st == nullptr || crashed_) {
     return;
   }
   nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
-                   [this, txn] { HotKeyAcquire(txn); });
+                   [this, txn] { LockedLocalAcquire(txn, 0); });
 }
 
-void XenicNode::HotKeyAcquire(TxnId txn) {
+std::vector<KeyRef> XenicNode::LockSet(const TxnState& st) {
+  std::vector<KeyRef> keys;
+  for (const auto* set : {&st.read_keys, &st.write_keys}) {
+    for (const auto& k : *set) {
+      if (!ContainsKey(keys, k)) {
+        keys.push_back(k);
+      }
+    }
+  }
+  return keys;
+}
+
+void XenicNode::LockedLocalAcquire(TxnId txn, uint32_t parks) {
   TxnState* st = FindState(txn);
   if (st == nullptr || crashed_) {
-    return;
+    return;  // wounded / swept while parked; the waiter just dies
   }
-  // Lock reads and writes together (like the shipped path: everything is
-  // read under locks, so there is no separate validation phase).
-  std::vector<KeyRef> keys;
-  for (const auto& k : st->read_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
+  // Lock reads and writes together: everything is read under locks, so
+  // there is no separate validation phase.
   KeyRef conflict;
-  if (!LockAll(txn, keys, &conflict)) {
-    if (conflict == st->hot_key && st->hot_waits < kHotMaxWaits) {
-      HotKeyPark(st);
-      return;
+  if (!LockAll(txn, LockSet(*st), &conflict)) {
+    // Under OCC only the hot key's holder is worth waiting for; a conflict
+    // on a cold key aborts and lets the submitter's retry policy decide.
+    if ((Cc2pl() || conflict == st->hot_key) &&
+        ParkOnConflict(txn, conflict, parks, /*remote=*/false,
+                       [this, txn, parks] { LockedLocalAcquire(txn, parks + 1); })) {
+      return;  // parked (zero locks held) until release, timeout, or wound
     }
-    // Conflict on a cold key, or the queue is not making progress: fall
-    // back to a normal abort and let the submitter's retry policy decide.
     if (st->abort_reason == AbortReason::kNone) {
       st->abort_reason = AbortReason::kLockLocal;
     }
@@ -471,6 +464,7 @@ void XenicNode::HotKeyAcquire(TxnId txn) {
   }
   st->lock_all = true;
   st->local_locked = true;
+  st->cc_read_locks = Cc2pl();
   st->locked_shards.push_back(id());
   // Read the full read set and current write seqs under the locks.
   std::vector<uint32_t> read_idx(st->read_keys.size());
@@ -484,11 +478,11 @@ void XenicNode::HotKeyAcquire(TxnId txn) {
     if (st == nullptr || crashed_) {
       return;
     }
-    HotKeyExecute(st);
+    LockedLocalExecute(st);
   });
 }
 
-void XenicNode::HotKeyExecute(TxnState* st) {
+void XenicNode::LockedLocalExecute(TxnState* st) {
   const TxnId txn = st->id;
   nic_->NicCompute(NicExecCost(st->req.exec_cost), [this, txn] {
     TxnState* st = FindState(txn);
@@ -529,18 +523,7 @@ void XenicNode::HotKeyExecute(TxnState* st) {
       // Execution discovered remote keys: drop every lock and restart
       // through the distributed path (nothing is held while distributed
       // EXECUTE rounds run, so no cross-path deadlock is possible).
-      std::vector<KeyRef> held;
-      for (const auto& k : st->read_keys) {
-        if (!ContainsKey(held, k)) {
-          held.push_back(k);
-        }
-      }
-      for (const auto& k : st->write_keys) {
-        if (!ContainsKey(held, k)) {
-          held.push_back(k);
-        }
-      }
-      UnlockAll(txn, held);
+      UnlockAll(txn, LockSet(*st));
       st->locked_shards.clear();
       st->local_locked = false;
       st->lock_all = false;
@@ -592,122 +575,8 @@ void XenicNode::HotKeyExecute(TxnState* st) {
       if (st == nullptr || crashed_) {
         return;
       }
-      HotKeyExecute(st);
+      LockedLocalExecute(st);
     });
-  });
-}
-
-void XenicNode::HotKeyPark(TxnState* st) {
-  const TxnId txn = st->id;
-  st->hot_parked = true;
-  st->hot_waits++;
-  stats_.hot_waits++;
-  hot_waiters_[st->hot_key].push_back(txn);
-  // Fallback wakeup: a release that bypasses this node's release paths
-  // (recovery sweeps drop locks directly in the index) would otherwise
-  // strand the queue. `hot_waits` doubles as a generation counter so a
-  // stale timer from an earlier park cannot double-wake.
-  const uint32_t gen = st->hot_waits;
-  nic_->engine()->ScheduleAfter(kHotParkTimeout, [this, txn, gen] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_ || !st->hot_parked || st->hot_waits != gen) {
-      return;
-    }
-    st->hot_parked = false;
-    RemoveHotWaiter(st);
-    HotKeyAcquire(txn);
-  });
-}
-
-void XenicNode::RemoveHotWaiter(TxnState* st) {
-  auto it = hot_waiters_.find(st->hot_key);
-  if (it == hot_waiters_.end()) {
-    return;
-  }
-  auto& q = it->second;
-  auto pos = std::find(q.begin(), q.end(), st->id);
-  if (pos != q.end()) {
-    q.erase(pos);
-  }
-  if (q.empty()) {
-    hot_waiters_.erase(it);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 2PL local path (XenicFeatures::cc != kOcc). Every all-local write
-// transaction takes this route: the NIC locks the full read+write set up
-// front (the policy decides whether a conflict aborts, waits, or wounds),
-// executes under the locks, and reuses LogPhase/CommitPhase. Structurally
-// the hot-key fast path minus the sketch gate, so execution rounds reuse
-// HotKeyExecute (which has no hot-key-specific state).
-// ---------------------------------------------------------------------------
-
-void XenicNode::CcLocalPath(StatePtr st) {
-  stats_.local_fastpath++;
-  TxnState* raw = st.get();
-  const TxnId txn = raw->id;
-  txns_[txn] = std::move(st);
-  const uint32_t bytes = net::wire::TxnDescriptor(raw->read_keys.size(), raw->write_keys.size(),
-                                                  raw->req.external_bytes);
-  nic_->HostCompute(kHostInitCost, [this, txn, bytes] {
-    nic_->HostToNic(bytes, [this, txn] { CcLocalStart(txn); });
-  });
-}
-
-void XenicNode::CcLocalStart(TxnId txn) {
-  TxnState* st = FindState(txn);
-  if (st == nullptr || crashed_) {
-    return;
-  }
-  nic_->NicCompute(NicOpCost(st->read_keys.size() + st->write_keys.size()),
-                   [this, txn] { CcLocalAcquire(txn, 0); });
-}
-
-void XenicNode::CcLocalAcquire(TxnId txn, uint32_t parks) {
-  TxnState* st = FindState(txn);
-  if (st == nullptr || crashed_) {
-    return;  // wounded / swept while parked; the waiter just dies
-  }
-  std::vector<KeyRef> keys;
-  for (const auto& k : st->read_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  for (const auto& k : st->write_keys) {
-    if (!ContainsKey(keys, k)) {
-      keys.push_back(k);
-    }
-  }
-  KeyRef conflict;
-  if (!LockAll(txn, keys, &conflict)) {
-    if (CcHandleConflict(txn, conflict, parks,
-                         [this, txn, parks] { CcLocalAcquire(txn, parks + 1); })) {
-      return;  // parked (zero locks held) until release, timeout, or wound
-    }
-    if (st->abort_reason == AbortReason::kNone) {
-      st->abort_reason = AbortReason::kLockLocal;
-    }
-    AbortCleanup(st, TxnOutcome::kAborted);
-    return;
-  }
-  st->lock_all = true;
-  st->local_locked = true;
-  st->cc_read_locks = true;
-  st->locked_shards.push_back(id());
-  std::vector<uint32_t> read_idx(st->read_keys.size());
-  for (uint32_t i = 0; i < read_idx.size(); ++i) {
-    read_idx[i] = i;
-  }
-  store::NicIndex::LookupStats agg;
-  ReadLocalSets(st, read_idx, &agg);
-  ChargeDmaReads(agg, [this, txn] {
-    TxnState* st = FindState(txn);
-    if (st == nullptr || crashed_) {
-      return;
-    }
-    HotKeyExecute(st);
   });
 }
 
@@ -747,10 +616,10 @@ void XenicNode::CoordStartOnNic(TxnId id) {
       return;
     }
     NodeId remote = 0;
-    // The multi-hop shipped path is OCC-specific (its conflict handling is
-    // abort-only and its locks are owned by two nodes at once); under a 2PL
-    // policy every distributed transaction takes the EXECUTE pipeline,
-    // which locks the read set and consults the policy on conflict.
+    // The multi-hop shipped path is OCC-specific (it never wounds and its
+    // locks are owned by two nodes at once); under 2PL every distributed
+    // transaction takes the EXECUTE pipeline, which locks the read set and
+    // wounds or waits on conflict.
     if (!Cc2pl() && features_->smart_remote_ops && features_->nic_execution &&
         features_->occ_multihop && st->req.allow_ship && ShipEligible(*st, &remote)) {
       ShippedPath(st, remote);
@@ -833,7 +702,7 @@ void XenicNode::ExecutePhase(TxnState* st) {
 
   // Without the combined "smart" remote operations, each read is its own
   // request and write locks move to a separate post-execution round (the
-  // one-sided-RDMA-style baseline in Figure 9). A 2PL policy overrides the
+  // one-sided-RDMA-style baseline in Figure 9). 2PL overrides the
   // ablation: locking at execute time requires the combined operation.
   if (!features_->smart_remote_ops && !Cc2pl()) {
     std::vector<ShardGroup> split;
@@ -1138,11 +1007,10 @@ void XenicNode::RunExecuteLogic(TxnState* st, sim::Engine::Callback next) {
 void XenicNode::ValidatePhase(TxnState* st) {
   if (st->coord_start != 0) {
     const sim::Tick now = nic_->engine()->now();
-    phases_.execute.Record(now - st->phase_start);
     TracePhase("EXECUTE", st->phase_start, now, st->id);
     st->phase_start = now;
   }
-  if (!cc_policy().validates()) {
+  if (Cc2pl()) {
     // 2PL: every read happened under its lock inside EXECUTE, so the read
     // versions are stable by construction -- no validation round. Read-only
     // transactions commit here; CommitPhase releases the read locks at
@@ -1299,7 +1167,6 @@ std::vector<store::LogWrite> XenicNode::ShardWrites(const TxnState& st, NodeId s
 void XenicNode::LogPhase(TxnState* st) {
   if (st->coord_start != 0) {
     const sim::Tick now = nic_->engine()->now();
-    phases_.validate.Record(now - st->phase_start);
     TracePhase("VALIDATE", st->phase_start, now, st->id);
     st->phase_start = now;
   }
@@ -1579,8 +1446,6 @@ void XenicNode::ReportAndFinish(TxnState* st, TxnOutcome outcome) {
   }
   if (st->coord_start != 0 && outcome == TxnOutcome::kCommitted) {
     const sim::Tick now = nic_->engine()->now();
-    phases_.log.Record(now - st->phase_start);
-    phases_.total.Record(now - st->coord_start);
     TracePhase("LOG", st->phase_start, now, st->id);
     TracePhase("txn", st->coord_start, now, st->id);
   }
@@ -1654,10 +1519,6 @@ void XenicNode::ReleaseOrphanedLocks(TxnId txn, NodeId shard, std::vector<KeyRef
 
 void XenicNode::AbortCleanup(TxnState* st, TxnOutcome outcome) {
   const TxnId txn = st->id;
-  if (st->hot_parked) {
-    st->hot_parked = false;
-    RemoveHotWaiter(st);
-  }
   // Release locks at every shard that acknowledged EXECUTE (or the local
   // lock set for local/shipped paths).
   for (NodeId shard : st->locked_shards) {
@@ -1845,10 +1706,8 @@ void XenicNode::ServeShipExec(TxnId txn, NodeId coord, TxnState* st) {
       }
       KeyRef conflict{};
       if (!LockAll(txn, *my_keys_ptr, &conflict)) {
-        const sim::Tick now = nic_->engine()->now();
-        if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-            sketch_.IsHot(conflict, now) &&
-            ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); })) {
+        if (ParkOnConflict(txn, conflict, parks, /*remote=*/true,
+                           [self, parks] { self(self, parks + 1); })) {
           // Hot key: the shipped execution is parked behind the holder
           // (zero locks held) instead of failing back to the coordinator.
           return;
@@ -2000,123 +1859,53 @@ void XenicNode::UnlockAll(TxnId txn, const std::vector<KeyRef>& keys) {
 
 void XenicNode::ReleaseOne(TxnId txn, const KeyRef& key) {
   ds_->index(key.table).ReleaseLock(key.key, txn);
-  WakeHotWaiters(key);
-  if (!cc_waiters_.empty()) {
-    WakeCcWaiters(key);  // empty under OCC: the 2PL queues are never used
-  }
-}
-
-void XenicNode::WakeHotWaiters(const KeyRef& key) {
-  if (hot_waiters_.empty() && remote_waiters_.empty()) {
-    return;
-  }
-  auto it = hot_waiters_.find(key);
-  if (it == hot_waiters_.end() || it->second.empty()) {
-    // No local hot-path waiter: hand the release to a parked remote lock
-    // request instead (one release, one wake, whoever is queued).
-    WakeOneRemote(key);
-    return;
-  }
-  const TxnId next = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) {
-    hot_waiters_.erase(it);
-  }
-  // Re-attempt the acquire in a fresh event: the release may happen inside
-  // another transaction's lock rollback, mid-iteration over its key list.
-  nic_->engine()->ScheduleAfter(0, [this, next] {
-    TxnState* st = FindState(next);
-    if (st == nullptr || crashed_ || !st->hot_parked) {
-      return;
-    }
-    st->hot_parked = false;
-    nic_->engine()->set_trace_ctx(next);
-    HotKeyAcquire(next);
-  });
-}
-
-bool XenicNode::ParkRemote(const KeyRef& key, TxnId txn, std::function<void()> resume) {
-  auto& queue = remote_waiters_[key];
-  if (queue.size() >= kRemoteQueueCap) {
-    return false;  // convoy forming: deny instead of queueing behind it
-  }
-  stats_.hot_remote_parks++;
-  const uint64_t id = ++remote_waiter_seq_;
-  queue.push_back(RemoteWaiter{id, txn, std::move(resume)});
-  // Fallback wakeup, mirroring HotKeyPark: a release that bypasses this
-  // node's release paths (recovery drops locks directly in the index) must
-  // not strand the coordinator's pending reply. The entry id keeps a
-  // fired timer from double-waking a request a release already resumed.
-  nic_->engine()->ScheduleAfter(kHotParkTimeout, [this, key, id] {
-    if (crashed_) {
-      return;
-    }
-    auto it = remote_waiters_.find(key);
-    if (it == remote_waiters_.end()) {
-      return;
-    }
-    auto pos = std::find_if(it->second.begin(), it->second.end(),
-                            [id](const RemoteWaiter& w) { return w.id == id; });
-    if (pos == it->second.end()) {
-      return;
-    }
-    RemoteWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      remote_waiters_.erase(it);
-    }
-    nic_->engine()->set_trace_ctx(w.txn);
-    w.resume();
-  });
-  return true;
-}
-
-void XenicNode::WakeOneRemote(const KeyRef& key) {
-  auto it = remote_waiters_.find(key);
-  if (it == remote_waiters_.end() || it->second.empty()) {
-    return;
-  }
-  RemoteWaiter w = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) {
-    remote_waiters_.erase(it);
-  }
-  // Fresh event, same reason as the local wake: the release may happen
-  // mid-rollback over another transaction's key list.
-  nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)] {
-    if (crashed_) {
-      return;
-    }
-    nic_->engine()->set_trace_ctx(w.txn);
-    w.resume();
-  });
+  WakeWaiter(key);
 }
 
 // ---------------------------------------------------------------------------
-// 2PL conflict handling (WAIT_DIE / WOUND_WAIT wait queues, WOUND delivery).
+// Lock-wait queue and WOUND delivery.
 // ---------------------------------------------------------------------------
 
-bool XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t parks,
-                                 std::function<void()> resume) {
-  const TxnId holder = ds_->index(conflict.table).LockOwner(conflict.key);
+template <typename Resume>
+bool XenicNode::ParkOnConflict(TxnId txn, const KeyRef& key, uint32_t parks, bool remote,
+                               Resume&& resume) {
+  if (!Cc2pl()) {
+    // OCC: only the hot-key path parks.
+    if (remote) {
+      if (!features_->hot_key_fastpath || parks >= kRemoteMaxParks ||
+          !sketch_.IsHot(key, nic_->engine()->now())) {
+        return false;
+      }
+      auto it = waiters_.find(key);
+      if (it != waiters_.end() &&
+          std::count_if(it->second.begin(), it->second.end(), [](const Waiter& w) {
+            return w.rank == kRemoteRank;
+          }) >= static_cast<std::ptrdiff_t>(kRemoteQueueCap)) {
+        return false;  // convoy forming: deny instead of queueing behind it
+      }
+      stats_.hot_remote_parks++;
+    } else {
+      if (parks >= kMaxParks) {
+        return false;  // the queue is not making progress
+      }
+      stats_.hot_waits++;
+    }
+    Park(key, txn, remote ? kRemoteRank : kLocalRank, std::forward<Resume>(resume));
+    return true;
+  }
+  // Wound-wait.
+  const TxnId holder = ds_->index(key.table).LockOwner(key.key);
+  if (holder != store::kNoTxn && parks >= kMaxParks) {
+    return false;  // deny: the coordinator aborts (and retries) the requester
+  }
+  stats_.cc_waits++;
   if (holder == store::kNoTxn) {
     // The holder released between the failed acquire and this decision
     // (lock rollbacks run inline). Re-attempt in a fresh event.
-    stats_.cc_waits++;
-    nic_->engine()->ScheduleAfter(0, [this, txn, resume = std::move(resume)] {
-      if (crashed_) {
-        return;
-      }
-      nic_->engine()->set_trace_ctx(txn);
-      resume();
-    });
+    ResumeSoon(txn, std::forward<Resume>(resume));
     return true;
   }
-  const CcAction act = cc_policy().OnConflict(txn, holder);
-  if (act == CcAction::kAbort || parks >= kCcMaxParks) {
-    return false;  // deny: the coordinator aborts (and retries) the requester
-  }
-  if (act == CcAction::kWound) {
+  if (WoundsHolder(txn, holder)) {
     // Abort the younger holder at its coordinator so the lock frees; the
     // message rides the transport (a self-wound schedules locally). The
     // holder may already be past its commit point, in which case the wound
@@ -2128,82 +1917,77 @@ bool XenicNode::CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t par
         net::MsgType::kWound, vcoord, net::wire::Wound(),
         [victim, holder] { victim->ServeWound(holder); }, txn);
   }
-  CcPark(conflict, txn, std::move(resume));
+  Park(key, txn, CcPriority(txn), std::forward<Resume>(resume));
   return true;
 }
 
-void XenicNode::CcPark(const KeyRef& key, TxnId txn, std::function<void()> resume) {
-  stats_.cc_waits++;
-  const uint64_t id = ++cc_waiter_seq_;
-  cc_waiters_[key].push_back(CcWaiter{id, txn, std::move(resume)});
-  // Fallback wakeup, mirroring ParkRemote: recovery sweeps release locks
-  // directly in the index, bypassing ReleaseOne, and must not strand a
-  // parked request forever. The entry id keeps a fired timer from
-  // double-waking a request a release already resumed.
-  nic_->engine()->ScheduleAfter(kCcParkTimeout, [this, key, id] {
+void XenicNode::Park(const KeyRef& key, TxnId txn, uint64_t rank,
+                     std::function<void()> resume) {
+  const uint64_t id = ++waiter_seq_;
+  waiters_[key].push_back(Waiter{id, txn, rank, std::move(resume)});
+  // Fallback wakeup: a release that bypasses this node's release paths
+  // (recovery sweeps drop locks directly in the index) must not strand a
+  // waiter. The entry id keeps a fired timer from double-waking a request
+  // a release already resumed.
+  nic_->engine()->ScheduleAfter(kParkTimeout, [this, key, id] {
     if (crashed_) {
       return;
     }
-    auto it = cc_waiters_.find(key);
-    if (it == cc_waiters_.end()) {
+    auto it = waiters_.find(key);
+    if (it == waiters_.end()) {
       return;
     }
     auto pos = std::find_if(it->second.begin(), it->second.end(),
-                            [id](const CcWaiter& w) { return w.id == id; });
+                            [id](const Waiter& w) { return w.id == id; });
     if (pos == it->second.end()) {
       return;
     }
-    CcWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      cc_waiters_.erase(it);
-    }
+    Waiter w = Unpark(it, pos);
     nic_->engine()->set_trace_ctx(w.txn);
     w.resume();
   });
 }
 
-void XenicNode::WakeCcWaiters(const KeyRef& key) {
-  auto it = cc_waiters_.find(key);
-  while (it != cc_waiters_.end() && !it->second.empty()) {
-    // Grant to the OLDEST parked requester (ties by arrival): under
-    // WOUND_WAIT an older waiter must not starve behind younger arrivals,
-    // and under WAIT_DIE every queued waiter is older than the departed
-    // holder anyway, so age order is also fair.
-    auto pos = std::min_element(it->second.begin(), it->second.end(),
-                                [](const CcWaiter& a, const CcWaiter& b) {
-                                  const uint64_t pa = CcPriority(a.txn);
-                                  const uint64_t pb = CcPriority(b.txn);
-                                  return pa != pb ? pa < pb : a.id < b.id;
-                                });
-    CcWaiter w = std::move(*pos);
-    it->second.erase(pos);
-    if (it->second.empty()) {
-      cc_waiters_.erase(it);
-      it = cc_waiters_.end();
-    }
-    // Skip waiters whose transaction died while parked (wounded, swept by
-    // recovery, or their coordinator crashed): wake the next-oldest
-    // instead of letting the release go unused until a timeout fires.
-    const NodeId coord = store::TxnNode(w.txn);
-    XenicNode* cnode = (*peers_)[coord];
-    if (cnode->crashed() || cnode->FindState(w.txn) == nullptr) {
-      if (it == cc_waiters_.end()) {
-        it = cc_waiters_.find(key);
-      }
-      continue;
-    }
-    // Fresh event, same reason as WakeHotWaiters: the release may happen
-    // mid-rollback over another transaction's key list.
-    nic_->engine()->ScheduleAfter(0, [this, w = std::move(w)] {
-      if (crashed_) {
-        return;
-      }
-      nic_->engine()->set_trace_ctx(w.txn);
-      w.resume();
-    });
-    return;
+XenicNode::Waiter XenicNode::Unpark(WaiterQueues::iterator it, std::deque<Waiter>::iterator pos) {
+  Waiter w = std::move(*pos);
+  it->second.erase(pos);
+  if (it->second.empty()) {
+    waiters_.erase(it);
   }
+  return w;
+}
+
+void XenicNode::WakeWaiter(const KeyRef& key) {
+  if (waiters_.empty()) {
+    return;  // the common case: nobody parks under OCC without the hot path
+  }
+  for (auto it = waiters_.find(key); it != waiters_.end(); it = waiters_.find(key)) {
+    Waiter w = Unpark(it, std::min_element(it->second.begin(), it->second.end(),
+                                           [](const Waiter& a, const Waiter& b) {
+                                             return a.rank < b.rank;
+                                           }));
+    // Skip a waiter whose transaction died while parked (wounded, swept by
+    // recovery, or its coordinator crashed): hand the release to the next
+    // one instead of letting it go unused until a timeout fires. An OCC
+    // remote waiter is resumed regardless; its resume re-checks the
+    // coordinator and drops a dead request.
+    XenicNode* coord = (*peers_)[store::TxnNode(w.txn)];
+    if ((!Cc2pl() && w.rank == kRemoteRank) ||
+        (!coord->crashed() && coord->FindState(w.txn) != nullptr)) {
+      ResumeSoon(w.txn, std::move(w.resume));
+      return;
+    }
+  }
+}
+
+void XenicNode::ResumeSoon(TxnId txn, std::function<void()> resume) {
+  nic_->engine()->ScheduleAfter(0, [this, txn, resume = std::move(resume)] {
+    if (crashed_) {
+      return;
+    }
+    nic_->engine()->set_trace_ctx(txn);
+    resume();
+  });
 }
 
 void XenicNode::ServeWound(TxnId victim) {
@@ -2337,26 +2121,11 @@ void XenicNode::ServeExecute(TxnId txn, NodeId coord,
           }
           KeyRef conflict{};
           if (!LockAll(txn, *lock_keys_ptr, &conflict)) {
-            const sim::Tick now = nic_->engine()->now();
-            if (Cc2pl()) {
-              // WAIT_DIE / WOUND_WAIT may park (and wound) instead of
-              // denying; NO_WAIT and an exhausted park budget deny here,
-              // and the coordinator aborts exactly like an OCC conflict.
-              if (CcHandleConflict(txn, conflict, parks,
-                                   [self, parks] { self(self, parks + 1); })) {
-                return;
-              }
-              (*reply_ptr)(ExecReply{false, {}, {}});
-              return;
-            }
-            if (features_->hot_key_fastpath && parks < kRemoteMaxParks &&
-                sketch_.IsHot(conflict, now) &&
-                ParkRemote(conflict, txn, [self, parks] { self(self, parks + 1); })) {
-              // Hot key: the pending reply is parked behind the holder
-              // (zero locks held) instead of bouncing an abort-retry cycle
-              // through the coordinator; timeout, a full queue, or an
-              // exhausted park budget denies exactly as the unparked path
-              // would.
+            // The pending reply may park behind the holder (zero locks
+            // held); a deny -- immediate, or after a timeout or an
+            // exhausted park budget -- makes the coordinator abort.
+            if (ParkOnConflict(txn, conflict, parks, /*remote=*/true,
+                               [self, parks] { self(self, parks + 1); })) {
               return;
             }
             (*reply_ptr)(ExecReply{false, {}, {}});
@@ -2746,9 +2515,7 @@ size_t XenicNode::RebuildLocksFromLog(const std::vector<store::LogRecord>& unack
 
 void XenicNode::ClearNicState() {
   txns_.clear();
-  hot_waiters_.clear();
-  remote_waiters_.clear();
-  cc_waiters_.clear();
+  waiters_.clear();
 }
 
 void XenicNode::Crash() {
@@ -2758,12 +2525,11 @@ void XenicNode::Crash() {
   if (applier_ != nullptr) {
     applier_->Stop();  // the NIC cores die with the node
   }
-  hot_waiters_.clear();  // parked submissions die with the node
-  // Parked remote lock requests die too: their replies are never sent,
-  // which is exactly what a request lost with the node looks like to the
-  // coordinator (recovery's wedged-txn sweep resolves it).
-  remote_waiters_.clear();
-  cc_waiters_.clear();  // same story for 2PL wait queues
+  // Parked requests die with the node: local ones with their state, and a
+  // remote one's reply is never sent, which is exactly what a request lost
+  // with the node looks like to its coordinator (recovery's wedged-txn
+  // sweep resolves it).
+  waiters_.clear();
   // txns_ is intentionally NOT cleared: shipped executions at remote nodes
   // hold raw pointers into it and guard against a vanished coordinator by
   // re-looking the state up -- freeing it here would leave them dangling

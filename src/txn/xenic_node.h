@@ -32,14 +32,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/net/transport.h"
 #include "src/nicmodel/smart_nic.h"
 #include "src/repl/log_applier.h"
 #include "src/repl/replication_group.h"
 #include "src/store/commit_log.h"
 #include "src/store/datastore.h"
-#include "src/txn/cc_policy.h"
 #include "src/txn/hot_key_sketch.h"
 #include "src/txn/types.h"
 
@@ -70,17 +68,6 @@ class XenicNode {
   // replicated to backups). Returns extra host ns to charge.
   using WorkerApplyHook = std::function<sim::Tick(const store::LogWrite&)>;
   void set_worker_apply_hook(WorkerApplyHook hook) { worker_apply_hook_ = std::move(hook); }
-
-  // Per-phase latency breakdown for distributed transactions (EXECUTE /
-  // VALIDATE / LOG as seen by the coordinator NIC).
-  struct PhaseBreakdown {
-    Histogram execute;
-    Histogram validate;
-    Histogram log;
-    Histogram total;
-  };
-  const PhaseBreakdown& phases() const { return phases_; }
-  PhaseBreakdown& phases() { return phases_; }
 
   NodeId id() const { return nic_->id(); }
   store::Datastore& datastore() { return *ds_; }
@@ -188,7 +175,7 @@ class XenicNode {
     std::map<NodeId, uint32_t> log_needed;
     bool logs_sent = false;             // LOG fan-out happened
     AbortReason abort_reason = AbortReason::kNone;  // first abort cause wins
-    // 2PL (CcPolicyKind != kOcc): read-set keys are locked at EVERY shard
+    // 2PL (CcPolicyKind::kWoundWait): read-set keys are locked at EVERY shard
     // that acknowledged EXECUTE, so commit/abort must release them there
     // (under OCC only the local/shipped paths lock reads -- see lock_all).
     bool cc_read_locks = false;
@@ -196,11 +183,9 @@ class XenicNode {
     // membership changed while we ran, a lock granted by the evicted node
     // is gone and our "stable by construction" reads are not.
     uint64_t map_version = 0;
-    // Hot-key fast path bookkeeping.
-    bool hot_path = false;    // routed through the serialized NIC path
-    bool hot_parked = false;  // waiting in a per-hot-key queue (zero locks!)
-    uint32_t hot_waits = 0;   // parks so far (requeue cap + timer generation)
-    KeyRef hot_key;           // the serialization key when hot_path
+    // OCC hot-key route: the sketch-flagged write key whose conflicts may
+    // park the transaction (a conflict on any other key aborts it).
+    KeyRef hot_key;
   };
 
   // Sentinel "sender" for the shipped path's EXEC-result completion signal.
@@ -282,59 +267,67 @@ class XenicNode {
   bool LockAll(TxnId txn, const std::vector<KeyRef>& keys, KeyRef* conflict = nullptr);
   void UnlockAll(TxnId txn, const std::vector<KeyRef>& keys);
   // Single release point for every node-path unlock: drops the lock, then
-  // wakes the head of the key's hot-waiter queue (if any).
+  // hands the key to one of its parked waiters (if any).
   void ReleaseOne(TxnId txn, const KeyRef& key);
-  void WakeHotWaiters(const KeyRef& key);
 
-  // ---- Hot-key fast path (XenicFeatures::hot_key_fastpath). All-local
-  // write transactions whose write set hits a sketch-flagged hot key skip
-  // the optimistic race: they lock read+write sets up front on the NIC
-  // (parking in a per-key FIFO while holding zero locks if the hot key is
-  // taken), execute under locks, and reuse LogPhase/CommitPhase.
-  bool TryHotKeyRoute(StatePtr& st);  // true = routed (state consumed)
-  void HotKeyStart(TxnId txn);
-  void HotKeyAcquire(TxnId txn);
-  void HotKeyExecute(TxnState* st);
-  void HotKeyPark(TxnState* st);
-  void RemoveHotWaiter(TxnState* st);
+  // True under wound-wait 2PL: read sets lock at EXECUTE time, the VALIDATE
+  // phase is skipped, and the shipped/hot-key routes are disabled.
+  bool Cc2pl() const { return features_->cc == CcPolicyKind::kWoundWait; }
 
-  // ---- Remote hot-key parking (also hot_key_fastpath). A lock request a
-  // coordinator sent here (EXECUTE or shipped execution) that is denied on
-  // a sketch-flagged hot key parks its pending reply in a per-key FIFO
-  // (zero locks held) and re-attempts when the holder releases, instead of
-  // bouncing an abort-retry cycle through the coordinator. The timeout /
-  // park-budget fallback denies exactly as before, so the wait is bounded
-  // and distributed deadlocks still resolve by abort.
-  // Returns false (caller denies as usual) when the key's queue is full.
-  bool ParkRemote(const KeyRef& key, TxnId txn, std::function<void()> resume);
-  void WakeOneRemote(const KeyRef& key);
+  // ---- NIC-locked local route. All-local write transactions under 2PL,
+  // and under OCC those whose write set hits a sketch-flagged hot key
+  // (XenicFeatures::hot_key_fastpath), skip the optimistic race: the NIC
+  // locks the read+write set up front, executes under the locks, and
+  // reuses LogPhase/CommitPhase -- no validation.
+  void LockedLocalPath(StatePtr st);
+  void LockedLocalStart(TxnId txn);
+  void LockedLocalAcquire(TxnId txn, uint32_t parks);
+  void LockedLocalExecute(TxnState* st);
+  // The read set then the write set, each key once.
+  static std::vector<KeyRef> LockSet(const TxnState& st);
 
-  // ---- Pluggable concurrency control (XenicFeatures::cc; cc_policy.h).
-  // True when a 2PL policy is active: read sets lock at EXECUTE time, the
-  // VALIDATE phase is skipped, and the shipped/hot-key routes are disabled.
-  bool Cc2pl() const { return features_->cc != CcPolicyKind::kOcc; }
-  const CcPolicy& cc_policy() const { return CcPolicy::Get(features_->cc); }
-  // Policy decision for a denied lock at this shard: park `resume` in the
-  // key's wait queue (optionally wounding the holder first) and return
-  // true, or return false when the policy (or an exhausted park budget)
-  // says the requester must abort.
-  bool CcHandleConflict(TxnId txn, const KeyRef& conflict, uint32_t parks,
-                        std::function<void()> resume);
-  // Timestamp-ordered wait queue (one per key, oldest woken first). Parked
-  // entries hold the timeout fallback of the hot-key queues: a lock
-  // released behind the engine's back (recovery sweeps) must not strand a
-  // waiter forever.
-  void CcPark(const KeyRef& key, TxnId txn, std::function<void()> resume);
-  void WakeCcWaiters(const KeyRef& key);
+  // ---- NIC lock-wait queue. A lock request denied at this node may park,
+  // holding zero locks here, until a release hands it the key or a
+  // fallback timer fires; either way `resume` re-attempts the request's
+  // whole lock set. Who may park:
+  //  * 2PL: any request (a wound first aborts a younger holder); the
+  //    oldest live waiter is woken first.
+  //  * OCC with hot_key_fastpath: a local-route transaction whose hot key
+  //    is taken, and a remote EXECUTE / shipped execution denied on a
+  //    sketch-hot key (once per request, a shallow queue) instead of
+  //    bouncing an abort-retry cycle through its coordinator. Local waiters
+  //    are woken before remote ones, FIFO within each group.
+  // Returns false when the request must deny (the caller aborts it).
+  // `parks` counts the request's earlier parks; `remote` marks a request
+  // a coordinator sent here. `resume` becomes a std::function only when
+  // the request parks, so a deny allocates nothing.
+  template <typename Resume>
+  bool ParkOnConflict(TxnId txn, const KeyRef& key, uint32_t parks, bool remote,
+                      Resume&& resume);
+  // One parked request. A wake grants the lowest `rank`, in park order
+  // among equals: CcPriority under 2PL, local before remote under OCC.
+  // `id` lets the fallback timer find its own entry after wakes reordered
+  // the queue. Under 2PL a waiter may hold locks at OTHER shards
+  // (hold-and-wait is safe: wound-wait keeps the global waits-for graph
+  // acyclic).
+  struct Waiter {
+    uint64_t id;
+    TxnId txn;
+    uint64_t rank;
+    std::function<void()> resume;
+  };
+  using WaiterQueues = std::unordered_map<KeyRef, std::deque<Waiter>, KeyRefHash>;
+  void Park(const KeyRef& key, TxnId txn, uint64_t rank, std::function<void()> resume);
+  // Removes `pos` from the queue `it`, dropping the queue once empty.
+  Waiter Unpark(WaiterQueues::iterator it, std::deque<Waiter>::iterator pos);
+  void WakeWaiter(const KeyRef& key);
+  // Run `resume` in a fresh event under `txn`'s trace context: a release
+  // may happen inside another transaction's lock rollback, mid-iteration
+  // over its key list.
+  void ResumeSoon(TxnId txn, std::function<void()> resume);
   // Coordinator-side WOUND handler: abort `victim` unless it already
   // passed its commit point (logs sent / outcome reported) or is gone.
   void ServeWound(TxnId victim);
-  // All-local write transactions under 2PL: lock the read+write set up
-  // front on the NIC (policy-directed parking on conflict), execute under
-  // locks, then LOG/COMMIT -- no optimistic race, no validation.
-  void CcLocalPath(StatePtr st);
-  void CcLocalStart(TxnId txn);
-  void CcLocalAcquire(TxnId txn, uint32_t parks);
 
   // Read one key at the server-side NIC, charging DMA costs; calls `done`
   // with the result.
@@ -396,30 +389,10 @@ class XenicNode {
   TxnStats stats_;
   // Per-shard conflict sketch feeding hot-key routing.
   HotKeySketch sketch_;
-  // Per-hot-key FIFO of parked transactions (ids only; zero locks held).
-  std::unordered_map<KeyRef, std::deque<TxnId>, KeyRefHash> hot_waiters_;
-  // Per-hot-key FIFO of parked remote lock requests (EXECUTE / shipped
-  // execution); `resume` re-attempts the full lock set. The id lets the
-  // timeout fallback find its own entry after wakes reordered the queue.
-  struct RemoteWaiter {
-    uint64_t id;
-    TxnId txn;
-    std::function<void()> resume;
-  };
-  std::unordered_map<KeyRef, std::deque<RemoteWaiter>, KeyRefHash> remote_waiters_;
-  uint64_t remote_waiter_seq_ = 0;
-  // Per-key 2PL wait queues (WAIT_DIE / WOUND_WAIT). Entries hold zero or
-  // more locks at OTHER shards (hold-and-wait is safe: timestamp ordering
-  // keeps the global waits-for graph acyclic); wakes go oldest-first.
-  struct CcWaiter {
-    uint64_t id;
-    TxnId txn;
-    std::function<void()> resume;
-  };
-  std::unordered_map<KeyRef, std::vector<CcWaiter>, KeyRefHash> cc_waiters_;
-  uint64_t cc_waiter_seq_ = 0;
+  // Per-key lock-wait queues (see ParkOnConflict).
+  WaiterQueues waiters_;
+  uint64_t waiter_seq_ = 0;
   net::Transport transport_;
-  PhaseBreakdown phases_;
   WorkerApplyHook worker_apply_hook_;
   bool workers_running_ = false;
   bool crashed_ = false;

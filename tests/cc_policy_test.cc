@@ -1,11 +1,10 @@
-// Concurrency-control policy unit and property tests (DESIGN.md §13): flag
-// parsing and naming, the OnConflict decision matrices of the 2PL trio,
-// CcPriority's total age order, and the deadlock-freedom argument — WAIT_DIE
-// only ever creates older→younger waits-for edges, WOUND_WAIT only
-// younger→older, so randomized seeded acquire orders can never close a
-// cycle, and NO_WAIT never parks at all. The last group drives a real
-// contended cluster per policy and checks the engine-level counters agree
-// (NO_WAIT's cc_waits stays zero; WOUND_WAIT actually wounds).
+// Concurrency-control unit and property tests (DESIGN.md §13): the --cc
+// spellings, CcPriority's total age order, and the deadlock-freedom
+// argument -- wound-wait only ever creates younger->older waits-for edges,
+// so randomized seeded acquire orders can never close a cycle. The last
+// group drives a real contended cluster per policy and checks the
+// engine-level counters agree (OCC validates and never parks; wound-wait
+// skips validation and actually wounds).
 
 #include <gtest/gtest.h>
 
@@ -14,9 +13,10 @@
 #include <set>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
+#include "src/harness/cli.h"
 #include "src/store/types.h"
-#include "src/txn/cc_policy.h"
 #include "src/txn/xenic_cluster.h"
 
 namespace xenic::txn {
@@ -25,49 +25,27 @@ namespace {
 using store::MakeTxnId;
 using store::TxnId;
 
-constexpr CcPolicyKind kAllKinds[] = {CcPolicyKind::kOcc, CcPolicyKind::kNoWait,
-                                      CcPolicyKind::kWaitDie, CcPolicyKind::kWoundWait};
+void ParseCc(const char* name, harness::ContentionOptions* opts) {
+  Flags flags;
+  opts->Register(flags);
+  const char* argv[] = {"tool", "--cc", name};
+  flags.Parse(3, const_cast<char**>(argv));
+}
 
 TEST(CcPolicyTest, ParseRoundTripsEveryName) {
-  for (CcPolicyKind kind : kAllKinds) {
-    CcPolicyKind parsed = CcPolicyKind::kOcc;
-    ASSERT_TRUE(ParseCcPolicy(CcPolicyName(kind), &parsed)) << CcPolicyName(kind);
-    EXPECT_EQ(parsed, kind);
-    EXPECT_STREQ(CcPolicy::Get(kind).name(), CcPolicyName(kind));
-    EXPECT_EQ(CcPolicy::Get(kind).kind(), kind);
+  for (CcPolicyKind kind : {CcPolicyKind::kOcc, CcPolicyKind::kWoundWait}) {
+    harness::ContentionOptions opts;
+    opts.cc = kind == CcPolicyKind::kOcc ? CcPolicyKind::kWoundWait : CcPolicyKind::kOcc;
+    ParseCc(CcPolicyName(kind), &opts);
+    EXPECT_EQ(opts.cc, kind) << CcPolicyName(kind);
   }
 }
 
 TEST(CcPolicyTest, ParseRejectsUnknownNames) {
-  CcPolicyKind parsed = CcPolicyKind::kOcc;
-  EXPECT_FALSE(ParseCcPolicy("2pl", &parsed));
-  EXPECT_FALSE(ParseCcPolicy("", &parsed));
-  EXPECT_FALSE(ParseCcPolicy("OCC", &parsed));  // spellings are lowercase
-  EXPECT_FALSE(ParseCcPolicy("wait-die", &parsed));
-}
-
-TEST(CcPolicyTest, GetReturnsOneSingletonPerKind) {
-  for (CcPolicyKind kind : kAllKinds) {
-    EXPECT_EQ(&CcPolicy::Get(kind), &CcPolicy::Get(kind));
-  }
-  EXPECT_NE(&CcPolicy::Get(CcPolicyKind::kOcc), &CcPolicy::Get(CcPolicyKind::kNoWait));
-}
-
-TEST(CcPolicyTest, OccValidatesAndNeverLocksReads) {
-  const CcPolicy& occ = CcPolicy::Get(CcPolicyKind::kOcc);
-  EXPECT_TRUE(occ.validates());
-  EXPECT_FALSE(occ.lock_reads());
-  // OCC conflicts always deny: the requester aborts and retries.
-  EXPECT_EQ(occ.OnConflict(MakeTxnId(0, 1), MakeTxnId(1, 9)), CcAction::kAbort);
-  EXPECT_EQ(occ.OnConflict(MakeTxnId(1, 9), MakeTxnId(0, 1)), CcAction::kAbort);
-}
-
-TEST(CcPolicyTest, TwoPlTrioLocksReadsAndSkipsValidation) {
-  for (CcPolicyKind kind :
-       {CcPolicyKind::kNoWait, CcPolicyKind::kWaitDie, CcPolicyKind::kWoundWait}) {
-    const CcPolicy& p = CcPolicy::Get(kind);
-    EXPECT_TRUE(p.lock_reads()) << p.name();
-    EXPECT_FALSE(p.validates()) << p.name();
+  harness::ContentionOptions opts;
+  for (const char* name : {"2pl", "OCC", "wait-die", "wound-wait"}) {
+    EXPECT_EXIT(ParseCc(name, &opts), ::testing::ExitedWithCode(2),
+                "--cc expects one of occ\\|woundwait") << name;
   }
 }
 
@@ -95,71 +73,23 @@ TEST(CcPolicyTest, PriorityIsATotalOrderOverDistinctIds) {
   EXPECT_EQ(priorities.size(), ids.size());  // injective => total order
 }
 
-TEST(CcPolicyTest, NoWaitAlwaysAborts) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kNoWait);
-  Rng rng(7);
-  for (int i = 0; i < 100; ++i) {
-    const TxnId a = MakeTxnId(rng.NextBounded(6), 1 + rng.NextBounded(500));
-    const TxnId b = MakeTxnId(rng.NextBounded(6), 1 + rng.NextBounded(500));
-    EXPECT_EQ(p.OnConflict(a, b), CcAction::kAbort);
-  }
-}
-
-TEST(CcPolicyTest, WaitDieOlderRequesterWaits) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWaitDie);
-  const TxnId older = MakeTxnId(1, 5);
-  const TxnId younger = MakeTxnId(0, 6);
-  ASSERT_LT(CcPriority(older), CcPriority(younger));
-  EXPECT_EQ(p.OnConflict(older, younger), CcAction::kWait);
-}
-
-TEST(CcPolicyTest, WaitDieYoungerRequesterDies) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWaitDie);
-  const TxnId older = MakeTxnId(1, 5);
-  const TxnId younger = MakeTxnId(0, 6);
-  EXPECT_EQ(p.OnConflict(younger, older), CcAction::kAbort);
-}
-
 TEST(CcPolicyTest, WoundWaitOlderRequesterWounds) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWoundWait);
   const TxnId older = MakeTxnId(2, 3);
   const TxnId younger = MakeTxnId(2, 4);
-  EXPECT_EQ(p.OnConflict(older, younger), CcAction::kWound);
+  EXPECT_TRUE(WoundsHolder(older, younger));
 }
 
 TEST(CcPolicyTest, WoundWaitYoungerRequesterWaits) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWoundWait);
   const TxnId older = MakeTxnId(2, 3);
   const TxnId younger = MakeTxnId(2, 4);
-  EXPECT_EQ(p.OnConflict(younger, older), CcAction::kWait);
+  EXPECT_FALSE(WoundsHolder(younger, older));
 }
 
-// The deadlock-freedom invariant, stated on the decision matrix itself:
-// under WAIT_DIE every wait edge (requester waits for holder) points from an
-// older transaction to a younger one; under WOUND_WAIT from a younger to an
-// older. Any cycle would need at least one edge of the opposite direction.
-TEST(CcPolicyTest, WaitDieWaitEdgesPointOldToYoungOnly) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWaitDie);
-  Rng rng(11);
-  int waits = 0;
-  for (int i = 0; i < 500; ++i) {
-    const TxnId a = MakeTxnId(rng.NextBounded(6), 1 + rng.NextBounded(300));
-    const TxnId b = MakeTxnId(rng.NextBounded(6), 1 + rng.NextBounded(300));
-    if (a == b) {
-      continue;
-    }
-    if (p.OnConflict(a, b) == CcAction::kWait) {
-      EXPECT_LT(CcPriority(a), CcPriority(b));
-      waits++;
-    } else {
-      EXPECT_GT(CcPriority(a), CcPriority(b));
-    }
-  }
-  EXPECT_GT(waits, 0);
-}
-
+// The deadlock-freedom invariant, stated on the decision itself: every wait
+// edge (requester waits for holder) points from a younger transaction to an
+// older one. Any cycle would need at least one edge of the opposite
+// direction.
 TEST(CcPolicyTest, WoundWaitWaitEdgesPointYoungToOldOnly) {
-  const CcPolicy& p = CcPolicy::Get(CcPolicyKind::kWoundWait);
   Rng rng(12);
   int waits = 0;
   int wounds = 0;
@@ -169,14 +99,12 @@ TEST(CcPolicyTest, WoundWaitWaitEdgesPointYoungToOldOnly) {
     if (a == b) {
       continue;
     }
-    const CcAction act = p.OnConflict(a, b);
-    if (act == CcAction::kWait) {
-      EXPECT_GT(CcPriority(a), CcPriority(b));
-      waits++;
-    } else {
-      ASSERT_EQ(act, CcAction::kWound);  // never a plain abort of the requester
+    if (WoundsHolder(a, b)) {
       EXPECT_LT(CcPriority(a), CcPriority(b));
       wounds++;
+    } else {
+      EXPECT_GT(CcPriority(a), CcPriority(b));
+      waits++;
     }
   }
   EXPECT_GT(waits, 0);
@@ -184,9 +112,8 @@ TEST(CcPolicyTest, WoundWaitWaitEdgesPointYoungToOldOnly) {
 }
 
 // Randomized acquire orders over a simulated lock table: replay every
-// conflict through the policy's OnConflict and record the waits-for edges it
-// creates. Whatever the interleaving, the graph must stay acyclic (WAIT_DIE,
-// WOUND_WAIT) and NO_WAIT must produce no edges at all.
+// conflict through the wound-or-wait decision and record the waits-for
+// edges it creates. Whatever the interleaving, the graph must stay acyclic.
 bool HasCycle(const std::map<TxnId, std::set<TxnId>>& waits_for) {
   std::set<TxnId> done;
   for (const auto& [start, _] : waits_for) {
@@ -222,8 +149,7 @@ bool HasCycle(const std::map<TxnId, std::set<TxnId>>& waits_for) {
   return false;
 }
 
-void RandomAcquireOrdersStayAcyclic(CcPolicyKind kind, uint64_t seed) {
-  const CcPolicy& p = CcPolicy::Get(kind);
+void RandomAcquireOrdersStayAcyclic(uint64_t seed) {
   Rng rng(seed);
   constexpr int kTxns = 24;
   constexpr int kKeys = 8;
@@ -247,51 +173,30 @@ void RandomAcquireOrdersStayAcyclic(CcPolicyKind kind, uint64_t seed) {
       holder.erase(it);      // re-touch by the holder: model a release
       continue;
     }
-    switch (p.OnConflict(t, it->second)) {
-      case CcAction::kAbort:
-        waits_for.erase(t);  // requester dies, edges vanish
-        break;
-      case CcAction::kWound:
-        // The holder aborts: its lock frees and its own edges vanish; the
-        // requester takes the lock.
-        waits_for.erase(it->second);
-        holder[key] = t;
-        break;
-      case CcAction::kWait:
-        waits_for[t].insert(it->second);
-        parked++;
-        break;
+    if (WoundsHolder(t, it->second)) {
+      // The holder aborts: its lock frees and its own edges vanish; the
+      // requester takes the lock.
+      waits_for.erase(it->second);
+      holder[key] = t;
+    } else {
+      waits_for[t].insert(it->second);
+      parked++;
     }
-    ASSERT_FALSE(HasCycle(waits_for)) << p.name() << " seed " << seed;
+    ASSERT_FALSE(HasCycle(waits_for)) << "seed " << seed;
   }
-  if (kind == CcPolicyKind::kNoWait) {
-    EXPECT_EQ(parked, 0);
-  } else {
-    EXPECT_GT(parked, 0) << p.name() << " seed " << seed;
-  }
-}
-
-TEST(CcPolicyTest, WaitDieRandomAcquireOrdersNeverCycle) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RandomAcquireOrdersStayAcyclic(CcPolicyKind::kWaitDie, seed);
-  }
+  EXPECT_GT(parked, 0) << "seed " << seed;
 }
 
 TEST(CcPolicyTest, WoundWaitRandomAcquireOrdersNeverCycle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RandomAcquireOrdersStayAcyclic(CcPolicyKind::kWoundWait, seed);
-  }
-}
-
-TEST(CcPolicyTest, NoWaitRandomAcquireOrdersNeverPark) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RandomAcquireOrdersStayAcyclic(CcPolicyKind::kNoWait, seed);
+    RandomAcquireOrdersStayAcyclic(seed);
   }
 }
 
 // Engine-level counter agreement: drive a deliberately contended RMW mix
-// (few keys, many contexts) through a real cluster under each policy and
-// check the TxnStats the policies are supposed to produce.
+// (few keys, many contexts; each transaction also reads one key it does not
+// write, so OCC has a read set to validate) through a real cluster under
+// each policy and check the TxnStats the policies are supposed to produce.
 TxnStats RunContended(CcPolicyKind cc, uint64_t seed) {
   XenicClusterOptions o;
   o.num_nodes = 3;
@@ -317,7 +222,11 @@ TxnStats RunContended(CcPolicyKind cc, uint64_t seed) {
     TxnRequest req;
     store::Key a = rng.NextBounded(kKeys);
     store::Key b = (a + 1 + rng.NextBounded(kKeys - 1)) % kKeys;
-    req.reads = {{0, a}, {0, b}};
+    store::Key c = 0;
+    while (c == a || c == b) {
+      c++;
+    }
+    req.reads = {{0, a}, {0, b}, {0, c}};
     req.writes = {{0, a}, {0, b}};
     req.execute = [](ExecRound& er) {
       for (size_t i = 0; i < er.writes->size(); ++i) {
@@ -342,20 +251,8 @@ TxnStats RunContended(CcPolicyKind cc, uint64_t seed) {
   return cluster.TotalStats();
 }
 
-TEST(CcPolicyTest, NoWaitEngineNeverParksOrWounds) {
-  const TxnStats s = RunContended(CcPolicyKind::kNoWait, 31);
-  EXPECT_GT(s.committed, 0u);
-  EXPECT_EQ(s.cc_waits, 0u);
-  EXPECT_EQ(s.cc_wounds, 0u);
-  EXPECT_EQ(s.abort_wounded, 0u);
-}
-
-TEST(CcPolicyTest, WaitDieEngineParksButNeverWounds) {
-  const TxnStats s = RunContended(CcPolicyKind::kWaitDie, 32);
-  EXPECT_GT(s.committed, 0u);
-  EXPECT_GT(s.cc_waits, 0u);
-  EXPECT_EQ(s.cc_wounds, 0u);
-  EXPECT_EQ(s.abort_wounded, 0u);
+uint64_t ValidateMsgs(const TxnStats& s) {
+  return s.by_type.msgs[static_cast<size_t>(net::MsgType::kValidate)];
 }
 
 TEST(CcPolicyTest, WoundWaitEngineWounds) {
@@ -364,9 +261,18 @@ TEST(CcPolicyTest, WoundWaitEngineWounds) {
   EXPECT_GT(s.cc_waits + s.cc_wounds, 0u);
 }
 
+// 2PL reads every value under its lock, so no VALIDATE round is ever sent.
+TEST(CcPolicyTest, WoundWaitEngineSkipsValidation) {
+  const TxnStats s = RunContended(CcPolicyKind::kWoundWait, 35);
+  EXPECT_GT(s.committed, 0u);
+  EXPECT_EQ(ValidateMsgs(s), 0u);
+  EXPECT_EQ(s.abort_validate, 0u);
+}
+
 TEST(CcPolicyTest, OccEngineUsesNoCcMachinery) {
   const TxnStats s = RunContended(CcPolicyKind::kOcc, 34);
   EXPECT_GT(s.committed, 0u);
+  EXPECT_GT(ValidateMsgs(s), 0u);
   EXPECT_EQ(s.cc_waits, 0u);
   EXPECT_EQ(s.cc_wounds, 0u);
   EXPECT_EQ(s.abort_wounded, 0u);

@@ -126,7 +126,7 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   harness::AddSeedFlag(flags, &seed, "seed");
   harness::AddSystemFlag(flags, &cfg);
   Parse(flags, {"--retry-policy", "expjitter", "--backoff-base=2", "--hot-key-path", "--cc",
-                "waitdie", "--slo", "p99<50us", "--seed=9", "--system", "drtmh-nc"});
+                "woundwait", "--slo", "p99<50us", "--seed=9", "--system", "drtmh-nc"});
   ASSERT_TRUE(contention.retry_policy.has_value());
   EXPECT_EQ(*contention.retry_policy, txn::RetryPolicyKind::kExpJitter);
   EXPECT_FALSE(obs.slo.empty());
@@ -143,7 +143,7 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   EXPECT_EQ(retry.kind, txn::RetryPolicyKind::kExpJitter);
   EXPECT_EQ(retry.backoff_base, 2 * sim::kNsPerUs);
   EXPECT_TRUE(xenic.features.hot_key_fastpath);
-  EXPECT_EQ(xenic.features.cc, txn::CcPolicyKind::kWaitDie);
+  EXPECT_EQ(xenic.features.cc, txn::CcPolicyKind::kWoundWait);
   EXPECT_FALSE(cfg.features.hot_key_fastpath);
 
   EXPECT_EXIT(Parse(flags, {"--system", "drtmhnc"}), ::testing::ExitedWithCode(2),
@@ -151,9 +151,12 @@ TEST(FlagsTest, SharedGroupsParseAndApply) {
   EXPECT_EXIT(Parse(flags, {"--slo", "p99<50parsecs"}), ::testing::ExitedWithCode(2),
               "--slo expects SPEC");
   EXPECT_EXIT(Parse(flags, {"--seed", "abc"}), ::testing::ExitedWithCode(2), "--seed expects");
-  // Removed spellings: the contention-window policy and adaptive DMA batching.
+  // Removed spellings: the contention-window policy, the NO_WAIT / WAIT_DIE
+  // 2PL variants, and adaptive DMA batching.
   EXPECT_EXIT(Parse(flags, {"--retry-policy", "cwnd"}), ::testing::ExitedWithCode(2),
               "--retry-policy expects one of uniform\\|expjitter, got 'cwnd'");
+  EXPECT_EXIT(Parse(flags, {"--cc", "waitdie"}), ::testing::ExitedWithCode(2),
+              "--cc expects one of occ\\|woundwait, got 'waitdie'");
   EXPECT_EXIT(Parse(flags, {"--adaptive-dma"}), ::testing::ExitedWithCode(2),
               "unknown flag --adaptive-dma");
 }

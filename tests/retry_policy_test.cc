@@ -60,18 +60,6 @@ TEST(RetryPolicyTest, BackoffBoundedAndPositive) {
   EXPECT_GE(RetryBackoff(cfg, 0, rng), 1u);
 }
 
-TEST(RetryPolicyTest, ParseNamesRoundTrip) {
-  RetryPolicyKind kind = RetryPolicyKind::kUniform;
-  for (auto expect : {RetryPolicyKind::kUniform, RetryPolicyKind::kExpJitter}) {
-    ASSERT_TRUE(ParseRetryPolicy(RetryPolicyName(expect), &kind));
-    EXPECT_EQ(kind, expect);
-  }
-  kind = RetryPolicyKind::kExpJitter;
-  EXPECT_FALSE(ParseRetryPolicy("fibonacci", &kind));
-  EXPECT_FALSE(ParseRetryPolicy("cwnd", &kind));  // removed policy
-  EXPECT_EQ(kind, RetryPolicyKind::kExpJitter);  // untouched on failure
-}
-
 // --- End-to-end harness coverage -------------------------------------------
 
 harness::SystemConfig XenicCfg() {

@@ -210,12 +210,12 @@ done
 echo "determinism OK: retry-policy matrix (2 policies, plain/attrib/armed) is byte-identical"
 
 # --- Concurrency-control matrix: every policy obeys the full contract ---
-# For each CC policy (OCC and the 2PL trio) on the skewed YCSB workload:
+# For each CC policy (OCC and wound-wait 2PL) on the skewed YCSB workload:
 # (a) the sweep must be byte-identical for --jobs 1 vs --jobs 4 (wait
 # queues, wounds, and epoch fences are all simulation state, never host
 # threading state), and (b) attaching --txn-attrib to a point-check must
 # not move a single scalar.
-for cc in occ nowait waitdie woundwait; do
+for cc in occ woundwait; do
   cc_flags=(--workload ycsb --cc "$cc")
 
   "$BIN" "${cc_flags[@]}" --jobs 1 >"$serial" 2>/dev/null
@@ -232,7 +232,7 @@ for cc in occ nowait waitdie woundwait; do
     exit 1
   fi
 done
-echo "determinism OK: CC matrix (4 policies, ycsb, plain/attrib) is byte-identical"
+echo "determinism OK: CC matrix (2 policies, ycsb, plain/attrib) is byte-identical"
 
 # --- Windowed metrics: --metrics / --slo must be observer-only ---
 # The metrics registry samples by slicing the measure phase into RunUntil
