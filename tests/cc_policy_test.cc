@@ -269,10 +269,18 @@ TEST(CcPolicyTest, WoundWaitEngineSkipsValidation) {
   EXPECT_EQ(s.abort_validate, 0u);
 }
 
-TEST(CcPolicyTest, OccEngineUsesNoCcMachinery) {
+// OCC reads without locking and checks the read set with VALIDATE, so a
+// concurrent writer of a read-only key aborts the reader at validation.
+TEST(CcPolicyTest, OccValidatesAndNeverLocksReads) {
   const TxnStats s = RunContended(CcPolicyKind::kOcc, 34);
   EXPECT_GT(s.committed, 0u);
   EXPECT_GT(ValidateMsgs(s), 0u);
+  EXPECT_GT(s.abort_validate, 0u);
+}
+
+TEST(CcPolicyTest, OccEngineUsesNoCcMachinery) {
+  const TxnStats s = RunContended(CcPolicyKind::kOcc, 34);
+  EXPECT_GT(s.committed, 0u);
   EXPECT_EQ(s.cc_waits, 0u);
   EXPECT_EQ(s.cc_wounds, 0u);
   EXPECT_EQ(s.abort_wounded, 0u);
